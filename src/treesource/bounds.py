@@ -12,7 +12,8 @@ n >= n_min.  The certificate is built from the companion function
 
 giving E(e^H_n) <= e^n_min * g(n) and E(H_n) <= ln g(n) + n_min.  The
 fitted shift only sharpens the membership envelope; the certificate's
-side conditions are always checked against the unshifted family c*x^(-alpha).
+side conditions concern the unshifted family c*x^(-alpha) and follow from
+c >= 1/e and 0 <= alpha <= 1 (see _check_conditions).
 
 Weakly balanced sources put mass at least phi(n) on middle splits
 (gamma*n <= k <= (1-gamma)*n) for n >= n_min.  With the exponent
@@ -224,13 +225,6 @@ def _companion_log(c: float, alpha: float, x: np.ndarray) -> np.ndarray:
     return math.log(c) + 1.0 + math.e * c * x ** (1.0 - alpha) / (1.0 - alpha) - alpha * lx
 
 
-def _antiderivative_log(c: float, alpha: float, x: np.ndarray) -> np.ndarray:
-    """ln of the integrated companion g itself (the e^(e*xi) form)."""
-    if alpha == 1.0:
-        return math.e * c * np.log(x)
-    return math.e * c * x ** (1.0 - alpha) / (1.0 - alpha)
-
-
 def asymptotic_power_bound(c: float, alpha: float, n: int) -> float:
     """Leading-order height bound for the power envelope family.
 
@@ -260,7 +254,7 @@ def balance_exponent(phi_value: float, gamma: float) -> float:
 
 @dataclass(frozen=True)
 class ConditionChecks:
-    """Side conditions of the envelope certificate, checked on a sample grid."""
+    """Side conditions of the envelope certificate, over all x >= 1."""
 
     companion_increasing: bool
     dominates_envelope: bool
@@ -271,27 +265,28 @@ class ConditionChecks:
         return self.companion_increasing and self.dominates_envelope and self.unit_at_one
 
 
-def _check_conditions(params: UpperBoundedParams, n: int) -> ConditionChecks:
-    if n <= 4096:
-        xs = np.arange(1, n + 1, dtype=float)
-    else:
-        xs = np.unique(
-            np.concatenate([np.arange(1, 4097, dtype=float), np.geomspace(4096.0, float(n), 256)])
-        )
-    g = _companion_log(params.c, params.alpha, xs)
-    increasing = bool(np.all(np.diff(g) >= -1e-12))
-    # domination is required from n_min on, for the unshifted family
-    mask = xs >= params.n_min
-    lhs = (
-        1.0
-        + math.log(params.c)
-        - params.alpha * np.log(xs[mask])
-        + _antiderivative_log(params.c, params.alpha, xs[mask])
-    )
-    dominates = bool(np.all(g[mask] - lhs >= -PASS_TOL))
-    unit = bool(_companion_log(params.c, params.alpha, np.array([1.0]))[0] >= -1e-12)
+def _check_conditions(params: UpperBoundedParams) -> ConditionChecks:
+    """Side conditions of the envelope certificate, decided in closed form.
+
+    Lemma.  If c >= 1/e and 0 <= alpha <= 1, then for every x >= 1:
+
+    (i) ln g is nondecreasing: d/dx ln g(x) = (e*c*x^(1-alpha) - alpha)/x,
+        and e*c*x^(1-alpha) >= e*c >= 1 >= alpha because x^(1-alpha) >= 1.
+    (ii) g(x) >= e*psi(x)*exp(e*Psi(x)), where psi(x) = c*x^(-alpha) and
+        Psi(x) = c*x^(1-alpha)/(1-alpha) (c*ln x at alpha = 1) is its
+        antiderivative: the log of the right side,
+        1 + ln c - alpha*ln x + e*Psi(x), is ln g(x) term by term, so (ii)
+        holds with equality.
+    (iii) g(1) >= 1: ln g(1) = ln c + 1 + e*c/(1-alpha) >= ln c + 1 >= 0
+        for alpha < 1, and ln g(1) = ln c + 1 >= 0 at alpha = 1.
+
+    UpperBoundedParams enforces both premises, so each condition is the
+    premises.  Evaluating (ii) in floating point would compare two
+    roundings of one number, which can differ at large x.
+    """
+    premises = params.c >= 1.0 / math.e and 0.0 <= params.alpha <= 1.0
     return ConditionChecks(
-        companion_increasing=increasing, dominates_envelope=dominates, unit_at_one=unit
+        companion_increasing=premises, dominates_envelope=premises, unit_at_one=premises
     )
 
 
@@ -306,21 +301,17 @@ class UpperBoundCertificate:
     conditions: ConditionChecks
 
 
-def upper_bounded_certificate(
-    params: UpperBoundedParams, n: int, conditions: "ConditionChecks | None" = None
-) -> UpperBoundCertificate:
+def upper_bounded_certificate(params: UpperBoundedParams, n: int) -> UpperBoundCertificate:
     """Moment and height bounds at size n for the envelope class."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     g = float(_companion_log(params.c, params.alpha, np.array([float(n)]))[0])
-    if conditions is None:
-        conditions = _check_conditions(params, n)
     return UpperBoundCertificate(
         n=n,
         companion_log=g,
         moment_bound_log=params.n_min + g,
         height_bound=g + params.n_min,
-        conditions=conditions,
+        conditions=_check_conditions(params),
     )
 
 
@@ -505,7 +496,6 @@ def verify_certificates(
     upper = isinstance(params, UpperBoundedParams)
 
     exact = expected_height_grid(kernel, n_max, tail_tol, mem_budget)
-    conditions = _check_conditions(params, n_max) if upper else None
     if upper:
         bases: "float | np.ndarray" = math.e
     else:
@@ -517,7 +507,7 @@ def verify_certificates(
     for n in sizes:
         required = n >= max(2, params.n_min)
         if upper:
-            cert = upper_bounded_certificate(params, n, conditions)
+            cert = upper_bounded_certificate(params, n)
             bound_log = cert.moment_bound_log
             height_bound = cert.height_bound
             log_nat = float(moment_log_nat[n])
@@ -561,7 +551,7 @@ def verify_certificates(
         log_base="e" if upper else "2",
         tail_tol=tail_tol,
         rows=tuple(rows),
-        conditions_ok=None if conditions is None else conditions.ok,
+        conditions_ok=_check_conditions(params).ok if upper else None,
     )
 
 

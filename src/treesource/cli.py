@@ -13,8 +13,7 @@ Subcommands:
 Exit codes: 0 success (and verification passed), 1 usage or input error,
 2 verification failure.  Every run is determined by its arguments; when
 --out is given, the resolved arguments are written next to the output as
-<out>.manifest.json.  The environment variable TREESOURCE_THREADS caps
-Monte Carlo worker threads (default: all CPUs).
+<out>.manifest.json.
 """
 
 from __future__ import annotations

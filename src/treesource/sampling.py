@@ -3,44 +3,57 @@
 A sample is grown top-down: starting from the full leaf budget, each
 pending block of m leaves either becomes a leaf (m = 1) or draws a left
 share k from the size-m split row and splits into blocks of k and m - k.
-Expansion uses an explicit work stack in pre-order, so comb-like trees of
-any size cannot overflow the interpreter stack.
+sample_tree and sample_height expand one tree with an explicit work stack
+in pre-order, so comb-like trees of any size cannot overflow the
+interpreter stack.  Monte Carlo grows many trees at once instead, one
+tree level at a time, with one vectorized draw per level for every
+pending block of every replicate.
 
-Reproducibility contract: a sample is a pure function of (kernel, size,
-seed) for a fixed build of this package.  Replicate r of a Monte Carlo run
-draws its own generator from mix64(master_seed, r), so estimates do not
-depend on chunking or thread count.  Bit-identical output across numpy
-versions is not promised.
+Reproducibility contract, for a fixed build of this package (bit-identical
+output across numpy versions is not promised):
+
+* sample_tree and sample_height are pure functions of (kernel, size, seed,
+  strategy), and consume the same draws in the same order, so they agree
+  for equal seeds.  The sample subcommand draws replicate r from
+  replicate_seed(seed, r) and is bit-stable per seed.
+* mc_heights and mc_expected_height are pure functions of (kernel, n,
+  replicates, seed, strategy).  Replicates are grown in blocks of
+  MC_BLOCK, block b from its own generator seeded with
+  replicate_seed(seed, b), so adding replicates leaves every full block
+  unchanged.  Their heights follow the law of sample_height but are not
+  the heights sample_height draws at any replicate seed.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .kernels import BinomialKernel, BstKernel, SplitKernel
+from .kernels import PMF_CACHE_LIMIT, BinomialKernel, BstKernel, SplitKernel
 from .trees import LEAF, BinaryTree, node, tree_from_shape_bits
 
 __all__ = [
+    "MC_BLOCK",
     "SampleConfig",
-    "THREADS_ENV_VAR",
-    "default_threads",
     "mix64",
     "replicate_seed",
     "sample_tree",
     "sample_height",
     "sample_uniform_remy",
+    "mc_heights",
     "mc_expected_height",
 ]
 
-THREADS_ENV_VAR = "TREESOURCE_THREADS"
-
 _STRATEGIES = ("auto", "cdf", "specialized")
+
+# Replicates grown together by mc_heights.  It fixes which generator draws
+# each replicate, so changing it changes every Monte Carlo value.  A level's
+# pending blocks take O(MC_BLOCK * n) memory: 256 keeps a bst block at
+# n = 10^5 near 165 MiB, and larger blocks were no faster at n <= 4096.
+MC_BLOCK = 256
 
 _GOLDEN64 = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -57,17 +70,6 @@ def mix64(x: int) -> int:
 def replicate_seed(master_seed: int, replicate: int) -> int:
     """Derived seed for one replicate; unordered in r by construction."""
     return mix64(master_seed + (replicate + 1) * _GOLDEN64)
-
-
-def default_threads() -> int:
-    """Worker count: the documented environment override, else the CPU count."""
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is not None:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from None
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -94,20 +96,30 @@ def _rng(seed: "int | np.random.Generator") -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _split_drawer(
-    kernel: SplitKernel, rng: np.random.Generator, strategy: str
-) -> Callable[[int], int]:
-    """Pick the draw function k = draw(m) for the left share at block size m."""
+def _draw_method(kernel: SplitKernel, strategy: str) -> str:
+    """How left shares are drawn: "bst", "binomial" or the generic "cdf"."""
     if strategy not in _STRATEGIES:
         raise ValueError(f"strategy must be one of {_STRATEGIES}, got {strategy!r}")
     if strategy != "cdf":
         if isinstance(kernel, BstKernel):
-            return lambda m: int(rng.integers(1, m))
+            return "bst"
         if isinstance(kernel, BinomialKernel):
-            p = kernel.p
-            return lambda m: 1 + int(rng.binomial(m - 2, p))
+            return "binomial"
         if strategy == "specialized":
             raise ValueError(f"no specialized sampler for kernel kind {kernel.kind!r}")
+    return "cdf"
+
+
+def _split_drawer(
+    kernel: SplitKernel, rng: np.random.Generator, strategy: str
+) -> Callable[[int], int]:
+    """Pick the draw function k = draw(m) for the left share at block size m."""
+    method = _draw_method(kernel, strategy)
+    if method == "bst":
+        return lambda m: int(rng.integers(1, m))
+    if method == "binomial":
+        p = kernel.p
+        return lambda m: 1 + int(rng.binomial(m - 2, p))
 
     def draw(m: int) -> int:
         cdf = kernel.split_cdf(m)
@@ -225,36 +237,131 @@ def sample_uniform_remy(n: int, seed: "int | np.random.Generator") -> BinaryTree
     return built[0]
 
 
+class _CdfTable:
+    """Cumulative split rows for exact vectorized inverse-CDF draws.
+
+    Rows of sizes 2..limit are stored back to back in one flat array, each
+    computed as np.cumsum(kernel.split_pmf(m)) like SplitKernel.split_cdf,
+    so a lookup returns exactly the k of the scalar sampler.  Rows of
+    larger sizes are built once per distinct size per call and dropped,
+    which keeps memory at O(limit^2 + n) for any n.
+    """
+
+    def __init__(self, kernel: SplitKernel, limit: int):
+        self.kernel = kernel
+        self.limit = limit
+        # row m occupies flat[start[m] : start[m] + m - 1]
+        sizes = np.arange(limit + 1, dtype=np.int64)
+        self.start = (sizes - 2) * (sizes - 1) // 2
+        self.flat = np.empty(limit * (limit - 1) // 2)
+        for m in range(2, limit + 1):
+            a = int(self.start[m])
+            np.cumsum(kernel.split_pmf(m), out=self.flat[a : a + m - 1])
+
+    def draw(self, m: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Left shares min(bisect_right(cdf_m, u) + 1, m - 1), elementwise."""
+        below = np.empty_like(m)
+        small = m <= self.limit
+        below[small] = self._count_below(m[small], u[small])
+        if not small.all():
+            big = np.flatnonzero(~small)
+            order = big[np.argsort(m[big], kind="stable")]
+            sizes, first = np.unique(m[order], return_index=True)
+            for size, group in zip(sizes, np.split(order, first[1:])):
+                cdf = np.cumsum(self.kernel.split_pmf(int(size)))
+                below[group] = np.searchsorted(cdf, u[group], side="right")
+        # clamp: cumulative row can fall a few ulp short of 1
+        return np.minimum(below + 1, m - 1)
+
+    def _count_below(self, m: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Per query, the number of entries of row m that are <= u.
+
+        Binary lifting over the row length: a prefix of length c is all
+        <= u exactly when entry c - 1 is, since rows are nondecreasing.
+        """
+        length = m - 1
+        start = self.start[m]
+        count = np.zeros_like(m)
+        step = 1 << (int(length.max()).bit_length() - 1) if m.size else 0
+        while step:
+            cand = count + step
+            fits = cand <= length
+            entry = self.flat[start + np.minimum(cand, length) - 1]
+            count = np.where(fits & (entry <= u), cand, count)
+            step >>= 1
+        return count
+
+
+def _level_drawer(
+    kernel: SplitKernel, n: int, strategy: str
+) -> Callable[[np.ndarray, np.random.Generator], np.ndarray]:
+    """Vectorized k = draw(m, rng): one left share per entry of the size array m."""
+    method = _draw_method(kernel, strategy)
+    if method == "bst":
+        return lambda m, rng: rng.integers(1, m)
+    if method == "binomial":
+        p = kernel.p
+        return lambda m, rng: 1 + rng.binomial(m - 2, p)
+    table = _CdfTable(kernel, min(n, PMF_CACHE_LIMIT))
+    return lambda m, rng: table.draw(m, rng.random(m.size))
+
+
+def _block_heights(
+    draw: Callable[[np.ndarray, np.random.Generator], np.ndarray],
+    n: int,
+    count: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Heights of count trees of size n, grown together one level at a time."""
+    heights = np.zeros(count, dtype=np.int64)
+    # pending blocks of size >= 2 at the current level, and their replicate
+    sizes = np.full(count if n >= 2 else 0, n, dtype=np.int64)
+    owner = np.arange(sizes.size)
+    level = 0
+    while sizes.size:
+        # a block of size >= 2 at this level puts leaves one level deeper
+        level += 1
+        heights[owner] = level
+        left = draw(sizes, rng)
+        sizes = np.concatenate((left, sizes - left))
+        owner = np.concatenate((owner, owner))
+        keep = sizes >= 2
+        sizes, owner = sizes[keep], owner[keep]
+    return heights
+
+
+def mc_heights(
+    kernel: SplitKernel, n: int, replicates: int, seed: int = 0, strategy: str = "auto"
+) -> np.ndarray:
+    """Heights of `replicates` independent trees of size n, seeded by blocks.
+
+    Replicates are grown MC_BLOCK at a time; block b draws from
+    default_rng(replicate_seed(seed, b)).
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if replicates < 1:
+        raise ValueError(f"need replicates >= 1, got {replicates}")
+    draw = _level_drawer(kernel, n, strategy)
+    heights = np.empty(replicates, dtype=np.int64)
+    for b, lo in enumerate(range(0, replicates, MC_BLOCK)):
+        hi = min(lo + MC_BLOCK, replicates)
+        rng = np.random.default_rng(replicate_seed(seed, b))
+        heights[lo:hi] = _block_heights(draw, n, hi - lo, rng)
+    return heights
+
+
 def mc_expected_height(
     kernel: SplitKernel,
     n: int,
     replicates: int,
     seed: int = 0,
     strategy: str = "auto",
-    threads: "int | None" = None,
 ) -> tuple[float, float]:
-    """Monte Carlo mean and standard error of the height at size n.
-
-    Replicate r is driven by replicate_seed(seed, r), so the estimate is
-    invariant under the thread count used to compute it.
-    """
+    """Monte Carlo mean and standard error of the height at size n, from mc_heights."""
     if replicates < 2:
         raise ValueError(f"need replicates >= 2 for a standard error, got {replicates}")
-    heights = np.empty(replicates)
-
-    def fill(lo: int, hi: int) -> None:
-        for r in range(lo, hi):
-            heights[r] = sample_height(kernel, n, replicate_seed(seed, r), strategy)
-
-    workers = default_threads() if threads is None else max(1, threads)
-    workers = min(workers, replicates)
-    if workers == 1:
-        fill(0, replicates)
-    else:
-        step = -(-replicates // workers)
-        spans = [(lo, min(lo + step, replicates)) for lo in range(0, replicates, step)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda span: fill(*span), spans))
+    heights = mc_heights(kernel, n, replicates, seed, strategy)
     mean = float(heights.mean())
     stderr = float(heights.std(ddof=1) / np.sqrt(replicates))
     return mean, stderr

@@ -235,8 +235,15 @@ class TestEnvelopeCertificate:
     )
     def test_side_conditions_hold(self, params):
         assert upper_bounded_certificate(params, 2000).conditions.ok
-        # the sparse grid beyond 4096 sizes is exercised too
         assert upper_bounded_certificate(params, 20000).conditions.ok
+
+    def test_side_conditions_hold_at_huge_sizes(self):
+        # the domination condition is an identity; rounding must not fail it
+        params = make_preset("bin-upper").params
+        cert = upper_bounded_certificate(params, 10**14)
+        assert cert.conditions.dominates_envelope
+        assert cert.conditions.ok
+        assert math.isfinite(cert.height_bound)
 
     def test_size_validation(self):
         with pytest.raises(ValueError):

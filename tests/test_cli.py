@@ -205,21 +205,6 @@ class TestMonteCarlo:
         assert 1.9 < float(mean) < 3.1
         assert float(stderr) > 0
 
-    def test_thread_env_is_validated(self, capsys, monkeypatch):
-        monkeypatch.setenv("TREESOURCE_THREADS", "many")
-        code, _, err = run_cli(
-            capsys, "mc", "--kernel", "bst", "--n", "5", "--replicates", "10"
-        )
-        assert code == 1
-        assert "TREESOURCE_THREADS" in err
-
-    def test_thread_env_override_works(self, capsys, monkeypatch):
-        monkeypatch.setenv("TREESOURCE_THREADS", "2")
-        code, out, _ = run_cli(
-            capsys, "mc", "--kernel", "bst", "--n", "5", "--replicates", "40"
-        )
-        assert code == 0
-
 
 class TestBounds:
     def test_preset_grid(self, capsys):

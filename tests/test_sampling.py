@@ -1,11 +1,14 @@
 import math
+from bisect import bisect_right
 from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from treesource.heights import height_cdf
 from treesource.kernels import (
+    PMF_CACHE_LIMIT,
     BinomialKernel,
     BstKernel,
     TableKernel,
@@ -13,10 +16,13 @@ from treesource.kernels import (
     tree_probability,
 )
 from treesource.sampling import (
+    MC_BLOCK,
     SampleConfig,
-    THREADS_ENV_VAR,
-    default_threads,
+    _block_heights,
+    _CdfTable,
+    _level_drawer,
     mc_expected_height,
+    mc_heights,
     mix64,
     replicate_seed,
     sample_height,
@@ -67,25 +73,6 @@ class TestSeedDerivation:
 
     def test_masters_are_distinct(self):
         assert replicate_seed(0, 0) != replicate_seed(1, 0)
-
-
-class TestDefaultThreads:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "3")
-        assert default_threads() == 3
-
-    def test_env_floor(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "0")
-        assert default_threads() == 1
-
-    def test_env_must_be_integer(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "many")
-        with pytest.raises(ValueError, match=THREADS_ENV_VAR):
-            default_threads()
-
-    def test_default_positive(self, monkeypatch):
-        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
-        assert default_threads() >= 1
 
 
 class TestSampleConfig:
@@ -254,10 +241,38 @@ class TestMonteCarlo:
         b = mc_expected_height(BinomialKernel(0.3), 12, replicates=300, seed=5)
         assert a == b
 
-    def test_thread_count_is_invisible(self):
-        one = mc_expected_height(UniformKernel(), 15, replicates=240, seed=3, threads=1)
-        four = mc_expected_height(UniformKernel(), 15, replicates=240, seed=3, threads=4)
-        assert one == four
+    def test_full_blocks_survive_more_replicates(self):
+        for kernel in (UniformKernel(), BstKernel()):
+            one = mc_heights(kernel, 15, MC_BLOCK, seed=3)
+            more = mc_heights(kernel, 15, 2 * MC_BLOCK + 7, seed=3)
+            assert np.array_equal(one, more[:MC_BLOCK])
+            assert not np.array_equal(one, more[MC_BLOCK : 2 * MC_BLOCK])
+
+    def test_block_b_draws_from_replicate_seed_b(self):
+        kernel = BstKernel()
+        heights = mc_heights(kernel, 40, 2 * MC_BLOCK, seed=9)
+        rng = np.random.default_rng(replicate_seed(9, 1))
+        block = _block_heights(_level_drawer(kernel, 40, "auto"), 40, MC_BLOCK, rng)
+        assert np.array_equal(heights[MC_BLOCK:], block)
+
+    def test_mean_and_stderr_of_heights(self):
+        heights = mc_heights(BinomialKernel(0.3), 30, 500, seed=4)
+        mean, stderr = mc_expected_height(BinomialKernel(0.3), 30, 500, seed=4)
+        assert mean == heights.mean()
+        assert stderr == pytest.approx(heights.std(ddof=1) / math.sqrt(500), rel=1e-12)
+
+    @pytest.mark.parametrize("kernel", [BstKernel(), UniformKernel(), BinomialKernel(0.3)],
+                             ids=lambda k: k.describe())
+    @pytest.mark.parametrize("strategy", ["auto", "cdf"])
+    def test_one_and_two_leaves(self, kernel, strategy):
+        assert mc_expected_height(kernel, 1, 30, strategy=strategy) == (0.0, 0.0)
+        assert mc_expected_height(kernel, 2, 30, strategy=strategy) == (1.0, 0.0)
+
+    def test_strategy_checked_like_sample_tree(self):
+        with pytest.raises(ValueError, match="specialized"):
+            mc_expected_height(UniformKernel(), 5, 10, strategy="specialized")
+        with pytest.raises(ValueError):
+            mc_expected_height(BstKernel(), 5, 10, strategy="fast")
 
     def test_seed_matters(self):
         a = mc_expected_height(BstKernel(), 12, replicates=300, seed=0)
@@ -267,3 +282,121 @@ class TestMonteCarlo:
     def test_needs_two_replicates(self):
         with pytest.raises(ValueError):
             mc_expected_height(BstKernel(), 5, replicates=1)
+
+    def test_rejects_bad_sizes(self):
+        with pytest.raises(ValueError):
+            mc_heights(BstKernel(), 0, 10)
+        with pytest.raises(ValueError):
+            mc_heights(BstKernel(), 5, 0)
+
+
+class _FixedUniforms:
+    """Stands in for a generator: hands out the given uniforms in order."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size):
+        out, self.u = self.u[:size], self.u[size:]
+        assert out.size == size
+        return out
+
+
+def scalar_draws(kernel, sizes, u):
+    """The scalar sampler's inverse-CDF lookup, query by query."""
+    return np.array(
+        [min(bisect_right(kernel.split_cdf(int(m)), x) + 1, int(m) - 1) for m, x in zip(sizes, u)]
+    )
+
+
+EDGES = (0.0, 5e-324, 1e-17, float(np.nextafter(1.0, 0.0)))
+
+
+def edge_uniforms(kernel, sizes, rng):
+    """Per query in turn: a random uniform, a value of the query's CDF row, an edge."""
+    u = rng.random(sizes.size)
+    for i in range(1, sizes.size, 3):
+        cdf = kernel.split_cdf(int(sizes[i]))
+        u[i] = cdf[int(rng.integers(0, len(cdf)))]
+    for i in range(2, sizes.size, 3):
+        u[i] = EDGES[(i // 3) % len(EDGES)]
+    return u
+
+
+TIED_TABLE = TableKernel(
+    {4: [0.5, 0.0, 0.5], 6: [0.0, 0.25, 0.0, 0.75, 0.0], 7: [0.0, 0.0, 1.0, 0.0, 0.0, 0.0]},
+    BinomialKernel(0.4),
+)
+
+
+class TestVectorizedDraws:
+    """Monte Carlo draws must be the scalar sampler's draws for the same uniforms."""
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [UniformKernel(), TIED_TABLE, BstKernel(), BinomialKernel(0.3)],
+        ids=lambda k: k.describe(),
+    )
+    def test_cdf_strategy_matches_scalar_lookup(self, kernel):
+        rng = np.random.default_rng(17)
+        n = 200
+        sizes = np.concatenate(([4, 6, 7, 2, 3, 6, n] * 12, rng.integers(2, n + 1, size=2000)))
+        u = edge_uniforms(kernel, sizes, rng)
+        draw = _level_drawer(kernel, n, "cdf")
+        assert np.array_equal(draw(sizes, _FixedUniforms(u)), scalar_draws(kernel, sizes, u))
+
+    @pytest.mark.parametrize("kernel", [UniformKernel(), TIED_TABLE], ids=lambda k: k.describe())
+    def test_rows_beyond_the_table(self, kernel):
+        # sizes above the flat table, one of them above the row cache too
+        rng = np.random.default_rng(5)
+        table = _CdfTable(kernel, 40)
+        sizes = np.concatenate(
+            ([PMF_CACHE_LIMIT + 3] * 12, [41, 300, 7, 300] * 9, rng.integers(2, 120, size=500))
+        )
+        u = edge_uniforms(kernel, sizes, rng)
+        assert np.array_equal(table.draw(sizes, u), scalar_draws(kernel, sizes, u))
+
+    def test_empty_level(self):
+        table = _CdfTable(UniformKernel(), 10)
+        empty = np.array([], dtype=np.int64)
+        assert table.draw(empty, np.array([])).size == 0
+
+
+HEIGHT_LAW_ALPHA = 1e-3  # the significance of acceptance criterion 9
+
+
+def pooled_chisquare_pvalue(observed, expected):
+    """Pearson test with cells below 5 expected pooled into one."""
+    keep = expected >= 5.0
+    obs, exp = list(observed[keep]), list(expected[keep])
+    if expected[~keep].sum() >= 1.0:
+        obs.append(observed[~keep].sum())
+        exp.append(expected[~keep].sum())
+    exp = np.array(exp) * (sum(obs) / sum(exp))
+    return chisquare(obs, exp).pvalue
+
+
+class TestHeightLaw:
+    """The Monte Carlo height histogram follows the exact height law."""
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            BstKernel(),
+            UniformKernel(),
+            BinomialKernel(0.3),
+            BinomialKernel(0.5),
+            BinomialKernel(0.7),
+            TableKernel({12: [0.3] + [0.0] * 9 + [0.7], 5: [0.1, 0.8, 0.1, 0.0]}, BstKernel()),
+        ],
+        ids=lambda k: k.describe(),
+    )
+    @pytest.mark.parametrize("strategy", ["auto", "cdf"])
+    def test_histogram_matches_height_cdf(self, kernel, strategy):
+        n, replicates = 12, 20_000
+        cdf = height_cdf(kernel, n, tail_tol=0.0).values
+        law = np.diff(np.concatenate(([0.0], cdf)))
+        heights = mc_heights(kernel, n, replicates, seed=2024, strategy=strategy)
+        observed = np.bincount(heights, minlength=law.size).astype(float)
+        assert observed.size == law.size  # no height beyond the exact support
+        assert pooled_chisquare_pvalue(observed, law * replicates) > HEIGHT_LAW_ALPHA
