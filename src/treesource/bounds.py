@@ -36,12 +36,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .heights import (
-    DEFAULT_MEM_BUDGET,
-    DEFAULT_TAIL_TOL,
-    exp_moment_grid,
-    expected_height_grid,
-)
+from .heights import DEFAULT_MEM_BUDGET, DEFAULT_TAIL_TOL, _grid_scan
 from .kernels import BinomialKernel, BstKernel, SplitKernel, UniformKernel
 from .sampling import mc_expected_height, replicate_seed
 
@@ -487,7 +482,7 @@ def verify_certificates(
     For each requested size: membership (where required, n >= n_min),
     the moment inequality, and the height inequality, each allowed PASS_TOL
     slack on its comparison scale.  All exact quantities for the whole grid
-    come from two scans at the largest size.
+    come from one scan at the largest size.
     """
     sizes = sorted(set(int(n) for n in ns))
     if not sizes or sizes[0] < 1:
@@ -495,13 +490,12 @@ def verify_certificates(
     n_max = sizes[-1]
     upper = isinstance(params, UpperBoundedParams)
 
-    exact = expected_height_grid(kernel, n_max, tail_tol, mem_budget)
     if upper:
         bases: "float | np.ndarray" = math.e
     else:
         bases = np.ones(n_max + 1)
         bases[1:] = 1.0 + np.array([params.phi(i) for i in range(1, n_max + 1)])
-    moment_log_nat, _ = exp_moment_grid(kernel, n_max, bases, tail_tol, mem_budget)
+    exact, moment_log_nat, _ = _grid_scan(kernel, n_max, tail_tol, mem_budget, bases)
 
     rows = []
     for n in sizes:

@@ -4,12 +4,14 @@ Everything here runs on one engine: a layered scan over survival vectors
 S_h[m] = P(height of a random size-m tree > h).  Conditioning on the root
 split and using independence of the subtrees,
 
-    S_{h+1}[m] = sum_k sigma(k, m-k) * (S_h[k] + S_h[m-k] - S_h[k] * S_h[m-k])
+    S_{h+1}[m] = sum_k sigma(k, m-k) * (S_h[k] + S_h[m-k] * (1 - S_h[k]))
 
-which vectorizes to two matrix products per layer.  Working with survivals
-instead of CDF differences matters: expected height is a plain sum of
-survivals, and exponential moments become E(b^H) = 1 + (b-1) * sum_h b^h S_h,
-so deep tails are never formed by subtracting nearly equal doubles and then
+which vectorizes to S' = W.S + (W*T).(1 - S), with W[m, k] = sigma(k, m-k)
+and T[m, k] = S[m-k]: two matrix-vector products over two dense matrices
+per layer, summing only nonnegative terms.  Working with survivals instead
+of CDF differences matters too: expected height is a plain sum of them,
+and exponential moments become E(b^H) = 1 + (b-1) * sum_h b^h S_h, so deep
+tails are never formed by subtracting nearly equal doubles and then
 amplified by b^h.
 
 Moment accumulation runs in log space throughout; values that would overflow
@@ -62,14 +64,6 @@ class ScanBudgetError(MemoryError):
     """A scan would allocate more than the configured memory budget."""
 
 
-def _split_matrices(kernel: SplitKernel, n: int) -> tuple[np.ndarray, np.ndarray]:
-    W = kernel.pmf_matrix(n)
-    Wr = np.zeros_like(W)
-    for m in range(2, n + 1):
-        Wr[m, 1:m] = W[m, m - 1:0:-1]
-    return W, W + Wr
-
-
 def survival_layers(
     kernel: SplitKernel, n: int, mem_budget: int = DEFAULT_MEM_BUDGET
 ) -> Iterator[tuple[int, np.ndarray]]:
@@ -80,14 +74,14 @@ def survival_layers(
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    # three dense (n+1)^2 matrices dominate the footprint
-    need = 3 * 8 * (n + 1) ** 2
+    # two dense (n+1)^2 matrices, W and W*T, dominate the footprint
+    need = 2 * 8 * (n + 1) ** 2
     if need > mem_budget:
         raise ScanBudgetError(
             f"scan at n={n} needs ~{need >> 20} MiB for split matrices, "
             f"budget is {mem_budget >> 20} MiB"
         )
-    W, Wsum = _split_matrices(kernel, n)
+    W = kernel.pmf_matrix(n)
     WT = np.empty_like(W)
     S = np.ones(n + 1)
     S[0] = 0.0
@@ -98,10 +92,11 @@ def survival_layers(
         pad[n:] = S
         T = sliding_window_view(pad, n + 1)[: n + 1, ::-1]
         np.multiply(W, T, out=WT)
-        S = Wsum @ S - WT @ S
+        S = W @ S + WT @ (1.0 - S)
+        # no term is negative; rounding can only overshoot 1
+        np.minimum(S, 1.0, out=S)
         # a tree on m leaves has height <= m-1, so these entries are exactly 0
         S[: min(h + 2, n + 1)] = 0.0
-        np.clip(S, 0.0, 1.0, out=S)
         # and height >= log2(m), so survival is exactly 1 while m > 2^h
         if h < 62 and (1 << h) < n:
             S[(1 << h) + 1 :] = 1.0
@@ -190,17 +185,7 @@ def expected_height_grid(
     agrees with expected_height(kernel, m, tail_tol) up to the rounding
     difference between a size-m scan and this shared size-n_max scan.
     """
-    if tail_tol < 0:
-        raise ValueError(f"tail_tol must be >= 0, got {tail_tol}")
-    E = np.zeros(n_max + 1)
-    active = np.ones(n_max + 1, dtype=bool)
-    active[:2] = False
-    for h, S in survival_layers(kernel, n_max, mem_budget):
-        E[active] += S[active]
-        active &= S > tail_tol
-        if not active.any():
-            break
-    return E
+    return _grid_scan(kernel, n_max, tail_tol, mem_budget)[0]
 
 
 @dataclass(frozen=True)
@@ -240,9 +225,26 @@ def exp_moment_grid(
     tail, bounded by bases[m]^(m-1) * S_h[m], is at most tail_tol times
     the moment accumulated so far.
     """
+    return _grid_scan(kernel, n_max, tail_tol, mem_budget, bases)[1:]
+
+
+def _grid_scan(
+    kernel: SplitKernel,
+    n_max: int,
+    tail_tol: float,
+    mem_budget: int,
+    bases: "float | Sequence[float] | np.ndarray | None" = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(E(H_m), log E(bases[m]^H_m), moment stop layers) for m = 0..n_max.
+
+    One scan feeds both accumulators; each retires sizes by the rule its
+    public function documents, and the scan ends once neither has a size
+    left.  With bases None no moment is accumulated (its entries are 0).
+    """
     if tail_tol < 0:
         raise ValueError(f"tail_tol must be >= 0, got {tail_tol}")
-    b = np.broadcast_to(np.asarray(bases, dtype=float), (n_max + 1,)).copy()
+    b = np.broadcast_to(np.asarray(1.0 if bases is None else bases, dtype=float), (n_max + 1,))
+    b = b.copy()
     b[:2] = 1.0
     if np.any(b < 1.0) or not np.all(np.isfinite(b)):
         raise ValueError("moment bases must be finite and >= 1")
@@ -252,21 +254,24 @@ def exp_moment_grid(
     log_tol = math.log(tail_tol) if tail_tol > 0 else -math.inf
 
     sizes = np.arange(n_max + 1)
+    E = np.zeros(n_max + 1)
     acc = np.full(n_max + 1, -np.inf)  # log sum of b^h * S_h
     stop = np.zeros(n_max + 1, dtype=int)
-    active = np.ones(n_max + 1, dtype=bool)
-    active[:2] = False
+    e_active = sizes >= 2
+    m_active = e_active & (bases is not None)
     for h, S in survival_layers(kernel, n_max, mem_budget):
+        E[e_active] += S[e_active]
+        e_active &= S > tail_tol
         with np.errstate(divide="ignore"):
             lnS = np.log(S)
-        acc[active] = np.logaddexp(acc[active], h * lb[active] + lnS[active])
+        acc[m_active] = np.logaddexp(acc[m_active], h * lb[m_active] + lnS[m_active])
         log_moment = np.logaddexp(0.0, lbm1 + acc)
-        done = active & ((sizes - 1) * lb + lnS <= log_tol + log_moment)
+        done = m_active & ((sizes - 1) * lb + lnS <= log_tol + log_moment)
         stop[done] = h
-        active &= ~done
-        if not active.any():
+        m_active &= ~done
+        if not (e_active.any() or m_active.any()):
             break
-    return np.logaddexp(0.0, lbm1 + acc), stop
+    return E, np.logaddexp(0.0, lbm1 + acc), stop
 
 
 def exp_moment(

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treesource import heights
 from treesource.bounds import (
     PASS_TOL,
     PRESET_NAMES,
@@ -22,6 +23,7 @@ from treesource.bounds import (
     verify_certificates,
     weakly_balanced_certificate,
 )
+from treesource.heights import exp_moment_grid, expected_height_grid
 from treesource.kernels import BinomialKernel, BstKernel, UniformKernel
 from treesource.trees import count_trees
 
@@ -344,6 +346,34 @@ class TestVerifyCertificates:
             verify_certificates(preset.kernel, preset.params, [])
         with pytest.raises(ValueError):
             verify_certificates(preset.kernel, preset.params, [0, 5])
+
+    @pytest.mark.parametrize("name", ["bst-upper", "bst-wbal"])
+    def test_one_scan_feeds_every_row(self, name, monkeypatch):
+        preset = make_preset(name)
+        sizes = [2, 7, 40, 120]
+        calls = []
+        scan = heights.survival_layers
+
+        def counting_scan(*args, **kwargs):
+            calls.append(args)
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(heights, "survival_layers", counting_scan)
+        report = verify_certificates(preset.kernel, preset.params, sizes)
+        assert len(calls) == 1
+
+        upper = isinstance(preset.params, UpperBoundedParams)
+        if upper:
+            bases = math.e
+        else:
+            bases = np.ones(121)
+            bases[1:] = 1.0 + np.array([preset.params.phi(i) for i in range(1, 121)])
+        eh = expected_height_grid(preset.kernel, 120)
+        log_nat = exp_moment_grid(preset.kernel, 120, bases)[0]
+        for row in report.rows:
+            assert row.exact_eh == eh[row.n]
+            # the balance family reports its moment in log base 2
+            assert row.moment_log == (log_nat[row.n] if upper else log_nat[row.n] / math.log(2.0))
 
 
 @pytest.fixture(scope="module")

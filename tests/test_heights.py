@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treesource.heights import (
     BRUTE_FORCE_LIMIT,
@@ -39,6 +41,14 @@ class TestSurvivalLayers:
             if prev is not None:
                 assert np.all(S <= prev + 1e-15)
             prev = S
+
+    def test_budget_counts_two_matrices(self):
+        n = 50
+        budget = 16 * (n + 1) ** 2
+        h, S = next(survival_layers(BstKernel(), n, mem_budget=budget))
+        assert h == 0 and S.shape == (n + 1,)
+        with pytest.raises(ScanBudgetError):
+            next(survival_layers(BstKernel(), n + 1, mem_budget=budget))
 
     def test_budget_guard(self):
         with pytest.raises(ScanBudgetError, match="MiB"):
@@ -269,3 +279,80 @@ class TestMomentRecursion:
         rising = np.linspace(1.5, 2.5, 11)
         with pytest.raises(ValueError, match="nonincreasing"):
             check_moment_recursion(k, 10, rising)
+
+
+def exact_survival_layers(kernel, n):
+    """Survival layers S_0..S_{n-1} in Fraction arithmetic from sigma_exact.
+
+    The reference runs the recurrence in its textbook form,
+    S'[m] = sum_k sigma(k, m-k) * (S[k] + S[m-k] - S[k] * S[m-k]),
+    with no clipping and no forced entries.
+    """
+    rows = {m: [kernel.sigma_exact(k, m - k) for k in range(1, m)] for m in range(2, n + 1)}
+    S = [Fraction(0)] + [Fraction(1)] * n
+    layers = []
+    for _ in range(n):
+        S = [Fraction(0), Fraction(0)] + [
+            sum(w * (S[k] + S[m - k] - S[k] * S[m - k]) for k, w in enumerate(rows[m], 1))
+            for m in range(2, n + 1)
+        ]
+        layers.append(S)
+    return layers
+
+
+# Relative tolerance for every survival above SURVIVAL_FLOOR.  Float rows are
+# roundings of the exact ones (binomial rows come from scipy), and each layer
+# adds a few roundings of nonnegative terms; at n = 16 the built-in kernels
+# stay below 1e-14.
+EXACT_REL_TOL = 1e-12
+SURVIVAL_FLOOR = 1e-300
+
+
+def assert_matches_exact_scan(kernel, n):
+    want = exact_survival_layers(kernel, n)
+    got = list(survival_layers(kernel, n))
+    assert [h for h, _ in got] == list(range(n))
+    for h, S in got:
+        exact = np.array([float(x) for x in want[h]])
+        # every term of the layer is nonnegative, so exact zeros stay zeros
+        assert np.array_equal(S == 0.0, exact == 0.0), f"zero pattern differs at h={h}"
+        big = exact > SURVIVAL_FLOOR
+        rel = np.abs(S[big] - exact[big]) / exact[big]
+        assert rel.max(initial=0.0) <= EXACT_REL_TOL, f"h={h}: rel err {rel.max():.3e}"
+    # both accumulators of the shared scan, untruncated
+    eh = [sum(layer[m] for layer in want) for m in range(n + 1)]
+    grid = expected_height_grid(kernel, n, tail_tol=0.0)
+    assert grid == pytest.approx([float(x) for x in eh], rel=EXACT_REL_TOL, abs=0)
+    logs, _ = exp_moment_grid(kernel, n, 2.0, tail_tol=0.0)
+    moments = [1 + sum(2**h * layer[m] for h, layer in enumerate(want)) for m in range(n + 1)]
+    assert logs[2:] == pytest.approx(
+        [math.log(x) for x in moments[2:]], rel=EXACT_REL_TOL, abs=0
+    )
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=IDS)
+def test_scan_matches_exact_reference(kernel):
+    assert_matches_exact_scan(kernel, 16)
+
+
+@st.composite
+def table_kernels(draw, n_max=16):
+    fallback = draw(
+        st.sampled_from([BstKernel(), UniformKernel(), BinomialKernel(0.3), BinomialKernel(0.8)])
+    )
+    sizes = draw(st.sets(st.integers(min_value=2, max_value=n_max), max_size=6))
+    rows = {}
+    for n in sizes:
+        # integer weights, zeros allowed: ties, one-sided and degenerate rows
+        w = draw(
+            st.lists(st.integers(min_value=0, max_value=1000), min_size=n - 1, max_size=n - 1)
+            .filter(any)
+        )
+        rows[n] = np.array(w, dtype=float) / sum(w)
+    return TableKernel(rows, fallback)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel=table_kernels(), n=st.integers(min_value=1, max_value=16))
+def test_scan_matches_exact_reference_on_tables(kernel, n):
+    assert_matches_exact_scan(kernel, n)
