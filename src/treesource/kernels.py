@@ -126,11 +126,20 @@ class SplitKernel:
                 self._cdfs.setdefault(n, cdf)
         return cdf
 
+    def _row_without_caching(self, n: int) -> np.ndarray:
+        """Split row at size n: the cached one if present, else one built and not cached."""
+        row = self._rows.get(n)
+        return self._row(n) if row is None else row
+
     def pmf_matrix(self, n: int) -> np.ndarray:
-        """Dense (n+1) x (n+1) matrix W with W[m, k] = sigma(k, m-k)."""
+        """Dense (n+1) x (n+1) matrix W with W[m, k] = sigma(k, m-k).
+
+        Rows already cached are reused; the others are built without being
+        cached, since W holds every one of them already.
+        """
         W = np.zeros((n + 1, n + 1))
         for m in range(2, n + 1):
-            W[m, 1:m] = self.split_pmf(m)
+            W[m, 1:m] = self._row_without_caching(m)
         return W
 
     # --- description ------------------------------------------------------
@@ -300,7 +309,7 @@ class TableKernel(SplitKernel):
         row = self.rows.get(n)
         if row is not None:
             return row
-        return self.fallback.split_pmf(n)
+        return self.fallback._row_without_caching(n)
 
     def describe(self) -> str:
         sizes = ",".join(str(n) for n in sorted(self.rows))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treesource import heights
 from treesource.heights import (
     BRUTE_FORCE_LIMIT,
     ScanBudgetError,
@@ -42,13 +44,41 @@ class TestSurvivalLayers:
                 assert np.all(S <= prev + 1e-15)
             prev = S
 
-    def test_budget_counts_two_matrices(self):
-        n = 50
-        budget = 16 * (n + 1) ** 2
-        h, S = next(survival_layers(BstKernel(), n, mem_budget=budget))
-        assert h == 0 and S.shape == (n + 1,)
+    @pytest.mark.parametrize("kernel", KERNELS[:3], ids=IDS[:3])
+    def test_budget_covers_traced_peak(self, kernel):
+        budget = 4 << 20
+
+        def admits(n):
+            layers = survival_layers(kernel, n, mem_budget=budget)
+            try:
+                next(layers)
+            except ScanBudgetError:
+                return False
+            finally:
+                layers.close()
+            return True
+
+        lo, hi = 1, 2048  # admits(lo), not admits(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if admits(mid) else (lo, mid)
+        n = lo
+        # warm state that outlives a scan (scipy's first calls, the uniform
+        # kernel's log-count table), then trace a whole scan at the ceiling
+        next(survival_layers(kernel, n, mem_budget=budget))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            layers = 0
+            for _, S in survival_layers(kernel, n, mem_budget=budget):
+                layers += 1
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert layers == n
+        assert peak <= budget, f"n={n}: traced peak {peak} B over budget {budget} B"
         with pytest.raises(ScanBudgetError):
-            next(survival_layers(BstKernel(), n + 1, mem_budget=budget))
+            next(survival_layers(kernel, n + 1, mem_budget=budget))
 
     def test_budget_guard(self):
         with pytest.raises(ScanBudgetError, match="MiB"):
@@ -316,6 +346,8 @@ def assert_matches_exact_scan(kernel, n):
         exact = np.array([float(x) for x in want[h]])
         # every term of the layer is nonnegative, so exact zeros stay zeros
         assert np.array_equal(S == 0.0, exact == 0.0), f"zero pattern differs at h={h}"
+        # a tree on more than 2^h leaves is taller than h
+        assert np.all(S[2**h + 1 :] == 1.0), f"h={h}: rows above 2^h are not exactly 1"
         big = exact > SURVIVAL_FLOOR
         rel = np.abs(S[big] - exact[big]) / exact[big]
         assert rel.max(initial=0.0) <= EXACT_REL_TOL, f"h={h}: rel err {rel.max():.3e}"
@@ -333,6 +365,55 @@ def assert_matches_exact_scan(kernel, n):
 @pytest.mark.parametrize("kernel", KERNELS, ids=IDS)
 def test_scan_matches_exact_reference(kernel):
     assert_matches_exact_scan(kernel, 16)
+
+
+# Block scratch sizes that split n = 16 into row blocks: 8 bytes leaves one
+# row's width (16 entries), so blocks of 1-2 rows; 200 bytes (25 entries)
+# gives blocks of 1-3 rows, and at h = 3 the block [8, 10) is cut at the
+# 2^h = 8 boundary.
+SMALL_BLOCKS = [8, 200]
+
+
+@pytest.mark.parametrize("block_bytes", SMALL_BLOCKS)
+@pytest.mark.parametrize("kernel", KERNELS[:3], ids=IDS[:3])
+def test_blocked_scan_matches_exact_reference(kernel, block_bytes, monkeypatch):
+    monkeypatch.setattr(heights, "_BLOCK_BYTES", block_bytes)
+    assert_matches_exact_scan(kernel, 16)
+
+
+def dense_survival_layers(kernel, n, layers):
+    """The first layers of the recurrence over whole dense matrices.
+
+    Unblocked, every row computed, no forced entries and no clipping:
+    S'[m] = sum_k W[m, k] * (S[k] + S[m-k] * (1 - S[k])).
+    """
+    W = np.zeros((n + 1, n + 1))
+    for m in range(2, n + 1):
+        W[m, 1:m] = kernel.split_pmf(m)
+    diff = np.subtract.outer(np.arange(n + 1), np.arange(n + 1))  # m - k
+    S = np.ones(n + 1)
+    S[0] = 0.0
+    out = []
+    for _ in range(layers):
+        T = np.where(diff >= 0, S[np.maximum(diff, 0)], 0.0)
+        S = (W * (S + T * (1.0 - S))).sum(axis=1)
+        out.append(S)
+    return out
+
+
+@pytest.mark.parametrize("kernel", KERNELS[:3], ids=IDS[:3])
+def test_scan_matches_dense_recurrence(kernel):
+    # rows 2..n hold more than three scratch blocks, and the 2^h boundary
+    # at 512 falls inside the scan's row range at h = 9
+    n, depth = 720, 80
+    assert n * (n - 1) // 2 > 3 * (heights._BLOCK_BYTES // 8)
+    want = dense_survival_layers(kernel, n, depth)
+    for (h, S), ref in zip(survival_layers(kernel, n), want):
+        assert np.array_equal(S == 0.0, ref == 0.0), f"zero pattern differs at h={h}"
+        assert np.all(S[2**h + 1 :] == 1.0), f"h={h}: rows above 2^h are not exactly 1"
+        big = ref > SURVIVAL_FLOOR
+        rel = np.abs(S[big] - ref[big]) / ref[big]
+        assert rel.max(initial=0.0) <= EXACT_REL_TOL, f"h={h}: rel err {rel.max():.3e}"
 
 
 @st.composite
@@ -353,6 +434,12 @@ def table_kernels(draw, n_max=16):
 
 
 @settings(max_examples=60, deadline=None)
-@given(kernel=table_kernels(), n=st.integers(min_value=1, max_value=16))
-def test_scan_matches_exact_reference_on_tables(kernel, n):
-    assert_matches_exact_scan(kernel, n)
+@given(
+    kernel=table_kernels(),
+    n=st.integers(min_value=1, max_value=16),
+    block_bytes=st.sampled_from(SMALL_BLOCKS + [heights._BLOCK_BYTES]),
+)
+def test_scan_matches_exact_reference_on_tables(kernel, n, block_bytes):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(heights, "_BLOCK_BYTES", block_bytes)
+        assert_matches_exact_scan(kernel, n)

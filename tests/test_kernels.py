@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treesource.heights import expected_height_grid
 from treesource.kernels import (
     BinomialKernel,
     BstKernel,
@@ -132,6 +133,51 @@ class TestRows:
         assert W[0].sum() == W[1].sum() == 0.0
         assert W[4, 2] == pytest.approx(1 / 3)
         assert W[:, 0].sum() == 0.0
+
+
+# factories, so that every kernel starts with empty row caches
+PMF_MATRIX_KERNELS = {
+    "bst": BstKernel,
+    "uniform": UniformKernel,
+    "binomial": lambda: BinomialKernel(0.3),
+    "table": lambda: TableKernel(
+        {4: [0.25, 0.5, 0.25], 7: [0.5, 0, 0, 0, 0, 0.5]}, UniformKernel()
+    ),
+}
+
+
+class TestPmfMatrix:
+    @pytest.mark.parametrize("make", PMF_MATRIX_KERNELS.values(), ids=PMF_MATRIX_KERNELS)
+    def test_rows_are_split_pmf_rows(self, make):
+        n = 40  # past UniformKernel's exact_limit of 30
+        W = make().pmf_matrix(n)
+        reference = make()
+        want = np.zeros((n + 1, n + 1))
+        for m in range(2, n + 1):
+            want[m, 1:m] = reference.split_pmf(m)
+        assert np.array_equal(W, want)
+
+    @pytest.mark.parametrize("make", PMF_MATRIX_KERNELS.values(), ids=PMF_MATRIX_KERNELS)
+    def test_scan_leaves_row_caches_alone(self, make):
+        kernel = make()
+        caches = [kernel._rows]
+        if isinstance(kernel, TableKernel):
+            caches.append(kernel.fallback._rows)
+        kernel.split_pmf(5)
+        before = [len(c) for c in caches]
+        expected_height_grid(kernel, 60, tail_tol=0.0)
+        assert [len(c) for c in caches] == before
+
+    def test_cached_rows_are_used(self):
+        kernel = BstKernel()
+        kernel._rows[5] = np.array([0.1, 0.2, 0.3, 0.4])
+        assert np.array_equal(kernel.pmf_matrix(6)[5, 1:5], [0.1, 0.2, 0.3, 0.4])
+        fallback = BstKernel()
+        fallback._rows[6] = np.array([0.5, 0.0, 0.0, 0.0, 0.5])
+        table = TableKernel({4: [0.25, 0.5, 0.25]}, fallback)
+        W = table.pmf_matrix(6)
+        assert np.array_equal(W[6, 1:6], [0.5, 0.0, 0.0, 0.0, 0.5])
+        assert np.array_equal(W[4, 1:4], [0.25, 0.5, 0.25])
 
 
 @settings(max_examples=60, deadline=None)
