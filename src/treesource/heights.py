@@ -32,7 +32,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import logsumexp
 
 from .kernels import SplitKernel
 from .trees import enumerate_trees, inner_split_sizes
@@ -409,9 +408,15 @@ def check_moment_recursion(
         k = np.arange(1, n)
         with np.errstate(divide="ignore"):
             log_row = np.log(kernel.split_pmf(n))
-        rhs[i] = math.log(phi[n]) + logsumexp(
-            log_row + np.logaddexp(log_m[k], log_m[n - k])
-        )
+        rhs[i] = math.log(phi[n]) + _logsumexp(log_row + np.logaddexp(log_m[k], log_m[n - k]))
     return MomentRecursionReport(
         ns=ns, phi=phi, lhs_log=lhs, rhs_log=rhs, slack_floor=slack_floor
     )
+
+
+def _logsumexp(x: np.ndarray) -> float:
+    """log(sum(exp(x))) shifted by the largest entry; -inf when every entry is -inf."""
+    top = float(x.max())
+    if not math.isfinite(top):
+        return top
+    return top + math.log(float(np.exp(x - top).sum()))

@@ -241,8 +241,9 @@ class _CdfTable:
     """Cumulative split rows for exact vectorized inverse-CDF draws.
 
     Rows of sizes 2..limit are stored back to back in one flat array, each
-    computed as np.cumsum(kernel.split_pmf(m)) like SplitKernel.split_cdf,
-    so a lookup returns exactly the k of the scalar sampler.  Rows of
+    the np.cumsum of the kernel's split row like SplitKernel.split_cdf, so a
+    lookup returns exactly the k of the scalar sampler.  They come from the
+    kernel's ascending walk, which leaves its row cache alone.  Rows of
     larger sizes are built once per distinct size per call and dropped,
     which keeps memory at O(limit^2 + n) for any n.
     """
@@ -254,9 +255,9 @@ class _CdfTable:
         sizes = np.arange(limit + 1, dtype=np.int64)
         self.start = (sizes - 2) * (sizes - 1) // 2
         self.flat = np.empty(limit * (limit - 1) // 2)
-        for m in range(2, limit + 1):
+        for m, row in enumerate(kernel._ascending_rows(limit), 2):
             a = int(self.start[m])
-            np.cumsum(kernel.split_pmf(m), out=self.flat[a : a + m - 1])
+            np.cumsum(row, out=self.flat[a : a + m - 1])
 
     def draw(self, m: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Left shares min(bisect_right(cdf_m, u) + 1, m - 1), elementwise."""

@@ -351,3 +351,18 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "2.666666666666667"
+
+
+def test_runtime_imports_no_scipy():
+    code = (
+        "import sys\n"
+        "import treesource\n"
+        "from treesource import cli\n"
+        "assert cli.main(['exact', '--kernel', 'binomial', '--p', '0.3', '--n', '50']) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

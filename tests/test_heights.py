@@ -63,8 +63,8 @@ class TestSurvivalLayers:
             mid = (lo + hi) // 2
             lo, hi = (mid, hi) if admits(mid) else (lo, mid)
         n = lo
-        # warm state that outlives a scan (scipy's first calls, the uniform
-        # kernel's log-count table), then trace a whole scan at the ceiling
+        # warm state that outlives a scan (the uniform kernel's log-count
+        # table), then trace a whole scan at the ceiling
         next(survival_layers(kernel, n, mem_budget=budget))
         tracemalloc.start()
         try:
@@ -298,6 +298,17 @@ class TestMomentRecursion:
         assert 2 <= rep.worst_n <= 20
         assert rep.min_slack == rep.slack.min()
 
+    def test_logsumexp(self):
+        # shifted by the largest entry, so huge logs neither overflow nor lose
+        # the smaller terms; -inf entries are zero terms
+        assert heights._logsumexp(np.array([-np.inf, 0.0, math.log(3.0)])) == pytest.approx(
+            math.log(4.0), rel=1e-15
+        )
+        assert heights._logsumexp(np.array([1000.0, 1000.0, -np.inf])) == pytest.approx(
+            1000.0 + math.log(2.0), rel=1e-15
+        )
+        assert heights._logsumexp(np.full(3, -np.inf)) == -math.inf
+
     def test_phi_validation(self):
         k = BstKernel()
         with pytest.raises(ValueError, match="entry per size"):
@@ -331,9 +342,9 @@ def exact_survival_layers(kernel, n):
 
 
 # Relative tolerance for every survival above SURVIVAL_FLOOR.  Float rows are
-# roundings of the exact ones (binomial rows come from scipy), and each layer
-# adds a few roundings of nonnegative terms; at n = 16 the built-in kernels
-# stay below 1e-14.
+# within a few roundings of the exact ones (binomial rows come from Pascal
+# steps), and each layer adds a few roundings of nonnegative terms; at n = 16
+# the built-in kernels stay below 1e-14.
 EXACT_REL_TOL = 1e-12
 SURVIVAL_FLOOR = 1e-300
 

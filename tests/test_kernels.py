@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -7,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treesource import kernels
 from treesource.heights import expected_height_grid
 from treesource.kernels import (
+    CLOSED_FORM_TOL,
     BinomialKernel,
     BstKernel,
     KernelFormatError,
@@ -178,6 +182,127 @@ class TestPmfMatrix:
         W = table.pmf_matrix(6)
         assert np.array_equal(W[6, 1:6], [0.5, 0.0, 0.0, 0.0, 0.5])
         assert np.array_equal(W[4, 1:4], [0.25, 0.5, 0.25])
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: BinomialKernel(0.3),
+            lambda: TableKernel(
+                {4: [0.25, 0.5, 0.25], 25: [0.5] + [0.0] * 22 + [0.5]}, BinomialKernel(0.3)
+            ),
+        ],
+        ids=["binomial", "table"],
+    )
+    def test_rows_past_the_cache_limit(self, make, monkeypatch):
+        # single rows come from the cache, the memo above the limit or fresh
+        # Pascal steps, depending on the order asked; all equal W's rows
+        monkeypatch.setattr(kernels, "PMF_CACHE_LIMIT", 16)
+        n = 40
+        W = make().pmf_matrix(n)
+        shuffled = np.random.default_rng(7).permutation(np.arange(2, n + 1)).tolist()
+        for order in (range(2, n + 1), range(n, 1, -1), shuffled):
+            kernel = make()
+            for m in order:
+                assert np.array_equal(W[m, 1:m], kernel.split_pmf(m)), m
+
+
+class TestPascalSteps:
+    """Each binomial row costs one Pascal step, whichever order asks for it."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        count = [0]
+        step = BinomialKernel._pascal_step
+
+        def counting_step(self, row):
+            count[0] += 1
+            return step(self, row)
+
+        monkeypatch.setattr(BinomialKernel, "_pascal_step", counting_step)
+        return count
+
+    def test_pmf_matrix(self, steps):
+        BinomialKernel(0.3).pmf_matrix(300)
+        assert steps[0] == 298
+
+    def test_cached_rows_are_stepped_once(self, steps, monkeypatch):
+        monkeypatch.setattr(kernels, "PMF_CACHE_LIMIT", 300)
+        kernel = BinomialKernel(0.3)
+        for n in np.random.default_rng(3).permutation(np.arange(2, 301)).tolist():
+            kernel.split_pmf(n)
+        assert steps[0] == 298
+
+    def test_ascending_past_the_cache(self, steps, monkeypatch):
+        monkeypatch.setattr(kernels, "PMF_CACHE_LIMIT", 50)
+        assert validate_kernel(BinomialKernel(0.3), 400).passed
+        assert steps[0] == 398
+
+    def test_shared_between_threads(self, monkeypatch):
+        # the cache and the memo above it are shared; every row handed out
+        # must still be the walk's row of the size asked for
+        monkeypatch.setattr(kernels, "PMF_CACHE_LIMIT", 30)
+        n = 120
+        want = BinomialKernel(0.3).pmf_matrix(n)
+        kernel = BinomialKernel(0.3)
+        wrong = []
+
+        def worker(seed):
+            for m in np.random.default_rng(seed).integers(2, n + 1, size=400).tolist():
+                if not np.array_equal(kernel.split_pmf(m), want[m, 1:m]):
+                    wrong.append(m)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+
+def exact_binomial_entries(p, n, ks):
+    """float(BinomialKernel(p).sigma_exact(k + 1, n - 1 - k)) for each k in ks.
+
+    With p = a/d exactly, entry k is C(n-2, k) a^k (d-a)^(n-2-k) / d^(n-2).
+    The quotient of two ints rounds correctly, as float(Fraction) does, and
+    neighbouring k step by the exact integer ratio (n-1-k) a / (k (d-a)),
+    which avoids the big gcds of Fraction arithmetic.
+    """
+    a, d = p.as_integer_ratio()
+    b = d - a
+    den = d ** (n - 2)
+    out = {}
+    prev = None
+    for k in sorted(ks):
+        if k - 1 == prev:
+            num = num * (n - 1 - k) * a // (k * b)
+        else:
+            num = math.comb(n - 2, k) * a**k * b ** (n - 2 - k)
+        out[k] = num / den
+        prev = k
+    return out
+
+
+@pytest.mark.parametrize("p", [0.03, 0.3, 0.5, 0.97])
+@pytest.mark.parametrize("n", [2000, 4096, 8182])
+def test_binomial_rows_match_exact(n, p):
+    kernel = BinomialKernel(p)
+    row = kernel.split_pmf(n)
+    mode = int(np.argmax(row))
+    rng = np.random.default_rng(n)
+    ks = set(range(max(0, mode - 30), min(n - 1, mode + 31)))
+    ks |= set(rng.choice(np.flatnonzero(row >= 1e-300), size=12).tolist())
+    want = exact_binomial_entries(p, n, ks)
+    assert want[mode] == float(kernel.sigma_exact(mode + 1, n - 1 - mode))
+    for k, w in want.items():
+        if w >= 1e-300:
+            assert abs(row[k] - w) <= 1e-12 * w, (k, row[k], w)
+    assert abs(float(row.sum()) - 1.0) <= CLOSED_FORM_TOL
 
 
 @settings(max_examples=60, deadline=None)

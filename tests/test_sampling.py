@@ -356,6 +356,19 @@ class TestVectorizedDraws:
         u = edge_uniforms(kernel, sizes, rng)
         assert np.array_equal(table.draw(sizes, u), scalar_draws(kernel, sizes, u))
 
+    @pytest.mark.parametrize(
+        "kernel",
+        [UniformKernel(), TableKernel({5: [0.1, 0.8, 0.1, 0.0]}, BinomialKernel(0.3))],
+        ids=lambda k: k.describe(),
+    )
+    def test_mc_leaves_row_caches_alone(self, kernel):
+        caches = [kernel._rows]
+        if isinstance(kernel, TableKernel):
+            caches.append(kernel.fallback._rows)
+        before = [len(c) for c in caches]
+        mc_expected_height(kernel, 300, 100, seed=3, strategy="cdf")
+        assert [len(c) for c in caches] == before
+
     def test_empty_level(self):
         table = _CdfTable(UniformKernel(), 10)
         empty = np.array([], dtype=np.int64)
