@@ -191,7 +191,10 @@ def psi_envelope(kernel: SplitKernel, n: int) -> float:
     """Tightest envelope value at size n: max_i sigma(i, n-i) + sigma(n-i, i)."""
     if n < 2:
         raise ValueError(f"envelope needs n >= 2, got {n}")
-    row = kernel.split_pmf(n)
+    return _envelope(kernel.split_pmf(n))
+
+
+def _envelope(row: np.ndarray) -> float:
     return float(np.max(row + row[::-1]))
 
 
@@ -201,12 +204,14 @@ def phi_balance(kernel: SplitKernel, n: int, gamma: float) -> float:
         raise ValueError(f"balance needs n >= 2, got {n}")
     if not 0.0 < gamma < 0.5:
         raise ValueError(f"need 0 < gamma < 1/2, got {gamma}")
+    return _balance(kernel.split_pmf(n), gamma)
+
+
+def _balance(row: np.ndarray, gamma: float) -> float:
+    n = row.size + 1
     lo = math.ceil(gamma * n)
     hi = math.floor((1.0 - gamma) * n)
-    if lo > hi:
-        return 0.0
-    row = kernel.split_pmf(n)
-    return float(np.sum(row[lo - 1 : hi]))
+    return float(np.sum(row[lo - 1 : hi])) if lo <= hi else 0.0
 
 
 # --- closed-form certificate pieces -------------------------------------------
@@ -584,15 +589,17 @@ def _fit_balance_n_min(
 ) -> int:
     """Smallest N with phi_balance >= phi(n) for every n in [N, scan_max]."""
     last_violation = 1
-    for n in range(2, scan_max + 1):
-        if phi_balance(kernel, n, gamma) < phi(n):
+    sizes = range(2, scan_max + 1)
+    for n, row in zip(sizes, kernel._ascending_rows(sizes)):
+        if _balance(row, gamma) < phi(n):
             last_violation = n
     return last_violation + 1
 
 
 def _fit_envelope_coeff(kernel: SplitKernel, alpha: float, scan_max: int) -> float:
     """Smallest c with psi_envelope <= c*n^(-alpha) on [2, scan_max]."""
-    return max(psi_envelope(kernel, n) * n**alpha for n in range(2, scan_max + 1))
+    sizes = range(2, scan_max + 1)
+    return max(_envelope(row) * n**alpha for n, row in zip(sizes, kernel._ascending_rows(sizes)))
 
 
 def make_preset(name: str, p: float = 0.5) -> Preset:

@@ -404,10 +404,11 @@ def check_moment_recursion(
     ns = np.arange(2, n_max + 1)
     lhs = log_m[2:]
     rhs = np.empty_like(lhs)
-    for i, n in enumerate(ns):
+    sizes = range(2, n_max + 1)
+    for i, (n, row) in enumerate(zip(sizes, kernel._ascending_rows(sizes))):
         k = np.arange(1, n)
         with np.errstate(divide="ignore"):
-            log_row = np.log(kernel.split_pmf(n))
+            log_row = np.log(row)
         rhs[i] = math.log(phi[n]) + _logsumexp(log_row + np.logaddexp(log_m[k], log_m[n - k]))
     return MomentRecursionReport(
         ns=ns, phi=phi, lhs_log=lhs, rhs_log=rhs, slack_floor=slack_floor

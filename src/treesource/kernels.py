@@ -15,17 +15,25 @@ Built-in kernels. With n = i + j:
                subtree size is 1 + Binomial(n-2, p)
   table        explicit per-n rows with a built-in fallback elsewhere
 
-Binomial rows are built by Pascal steps, row m+1 = p*[0, row m] + q*[row m, 0]
-with q = 1 - p, from row 2 = [1].  A step takes only products and sums of
-nonnegative doubles, so a row has the same bits whichever path built it and
-no entry loses accuracy to cancellation.  For p >= 1/2, q is exact and the
-steps' own roundings are the only error: against the exact rows at n = 8182,
-every entry above 1e-300 is within 7e-15 relative for p = 0.5, 0.7 and 0.97.
-For p < 1/2, q is rounded by at most 2^-54, so an entry of row n may drift by
-up to (n-2)*2^-53 relative more (at n = 8182: 2.6e-13 for p = 0.03 and 0.1,
-5.6e-13 for p = 0.3).  Row sums drift with it, by 1 - 4.5e-13 at n = 8182
-for p = 0.3, which passes validate_kernel's CLOSED_FORM_TOL only up to
-n = 17879.
+Binomial rows are built by Pascal steps from row 2 = [1]: with a = [0, row m]
+and b = [row m, 0], row m+1 = p*a + q*b, q = 1 - p.  The step computes it as
+b + p*(a - b) for p < 1/2 and as a - q*(a - b) otherwise, so its only
+multiplier is the smaller of p and q, which is an exact double (1 - p rounds
+for p < 1/2, but not for p >= 1/2).  A rounded q would bias every step the
+same way and make row sums drift linearly in n; this form has no such bias,
+and a step's three roundings add at most 3*2^-53 to the relative error of an
+entry above the underflow range.  Against the exact rows at n = 8182, every
+entry above 1e-300 is within 6e-14 relative for p = 0.03, 0.1, 0.3, 0.5, 0.7
+and 0.97, and row sums stay within 1e-15 of one up to n = 40000 for p = 0.3.
+Far out in the tails the rows fall into subnormal doubles, which are slow to
+compute with and mostly rounding noise.  A step therefore sets the entries
+at either end of a row that fall below 2^-1064 to 0 and works on the band
+between them.  Up to n = 30000, every entry above 1e-300 comes out bit for
+bit as without dropping, and the band is O(sqrt(n)) wide.  The step and the
+dropping rule are the same on every path, so a row has the same bits
+whichever path built it.  Building row n costs n - 2 steps, so rows above
+PMF_CACHE_LIMIT are slow to get one at a time; sigma there is evaluated
+directly in O(1) by Loader's saddle-point form and builds no row.
 
 Kernels are immutable and safe to share across threads: row caches are
 filled under a lock and only ever read afterwards.
@@ -38,7 +46,7 @@ import math
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -70,6 +78,9 @@ TABLE_TOL = 1e-9
 _ROW_2 = np.ones(1)
 _ROW_2.setflags(write=False)
 
+# Binomial rows drop entries below this at their ends: see the module docstring
+_FLUSH = 2.0**-1064
+
 
 class KernelFormatError(ValueError):
     """Raised for malformed or inconsistent kernel descriptions."""
@@ -85,7 +96,9 @@ class SplitKernel:
     """Base class; concrete kernels implement the scalar forms and _row.
 
     A kernel whose rows follow from the previous row overrides _new_row and
-    _ascending_rows instead of _row.
+    _ascending_rows instead of _row.  Callers that need rows of many sizes
+    in increasing order take them from _ascending_rows, which builds each
+    row once and caches none of them.
     """
 
     kind: str = "abstract"
@@ -150,13 +163,13 @@ class SplitKernel:
                 self._cdfs.setdefault(n, cdf)
         return cdf
 
-    def _ascending_rows(self, n: int) -> Iterator[np.ndarray]:
-        """Split rows of sizes 2..n in order, for one pass that keeps none of them.
+    def _ascending_rows(self, sizes: Sequence[int]) -> Iterator[np.ndarray]:
+        """Split rows of the given increasing sizes, in one pass that keeps none of them.
 
         Cached rows are reused and no row is added to the cache; rows must
         not be mutated.
         """
-        for m in range(2, n + 1):
+        for m in sizes:
             row = self._rows.get(m)
             yield self._row(m) if row is None else row
 
@@ -167,7 +180,7 @@ class SplitKernel:
         holds every one of them already.
         """
         W = np.zeros((n + 1, n + 1))
-        for m, row in enumerate(self._ascending_rows(n), 2):
+        for m, row in enumerate(self._ascending_rows(range(2, n + 1)), 2):
             W[m, 1:m] = row
         return W
 
@@ -268,52 +281,76 @@ class BinomialKernel(SplitKernel):
             raise ValueError(f"binomial parameter must lie in (0, 1), got {p}")
         self.p = float(p)
         self._q = 1.0 - self.p
-        self._memo: tuple[int, np.ndarray | None] = (0, None)
 
     def sigma(self, i: int, j: int) -> float:
         n = _check_pair(i, j)
-        return float(self.split_pmf(n)[i - 1])
+        if n <= PMF_CACHE_LIMIT:
+            return float(self.split_pmf(n)[i - 1])
+        return _binomial_pmf(i - 1, n - 2, self.p, self._q)
 
     def sigma_exact(self, i: int, j: int) -> Fraction:
         n = _check_pair(i, j)
         p = Fraction(self.p)
         return p ** (i - 1) * (1 - p) ** (j - 1) * math.comb(n - 2, i - 1)
 
-    def _pascal_step(self, row: np.ndarray) -> np.ndarray:
-        """Row m+1 from row m: p*[0, row] + q*[row, 0], read-only."""
-        out = np.empty(row.size + 1)
-        np.multiply(row, self._q, out=out[:-1])
-        out[-1] = 0.0
-        out[1:] += self.p * row
-        out.setflags(write=False)
-        return out
+    def _pascal_step(self, band: np.ndarray) -> tuple[int, np.ndarray]:
+        """One row up from the nonzero band of a row: the next band and its shift.
 
-    def _ascending_rows(self, n: int) -> Iterator[np.ndarray]:
-        row = _ROW_2
-        for m in range(2, n + 1):
-            if m > 2:
-                row = self._pascal_step(row)
-            yield row
+        The next row is p*a + q*b with a = [0, row], b = [row, 0], evaluated
+        as b + p*(a - b) or a - q*(a - b), whichever multiplier is the exact
+        one (see the module docstring).  Entries outside the band are 0 on
+        both rows; entries below _FLUSH at the new band's ends are dropped.
+        """
+        out = np.empty(band.size + 1)
+        out[0] = -band[0]
+        np.subtract(band[:-1], band[1:], out=out[1:-1])
+        out[-1] = band[-1]
+        if self.p < 0.5:
+            out *= self.p
+            out[:-1] += band
+        else:
+            out *= -self._q
+            out[1:] += band
+        i, j = 0, out.size
+        while out[i] < _FLUSH:
+            i += 1
+        while out[j - 1] < _FLUSH:
+            j -= 1
+        return i, out[i:j]
+
+    def _nearest_row(self, n: int) -> tuple[int, np.ndarray]:
+        """The largest cached row at or below n, with its size; row 2 if none is."""
+        m = min(n, PMF_CACHE_LIMIT)
+        while m > 2 and m not in self._rows:
+            m -= 1
+        return m, self._rows.get(m, _ROW_2)
+
+    def _walk(self, sizes: Sequence[int], cache: bool) -> Iterator[np.ndarray]:
+        """Rows of the given increasing sizes, by Pascal steps from the nearest cached row.
+
+        With cache set, every row stepped through up to PMF_CACHE_LIMIT is
+        cached on the way.
+        """
+        m = None
+        for n in sizes:
+            if m is None:
+                m, row = self._nearest_row(n)
+                nonzero = np.flatnonzero(row)
+                lo, band = int(nonzero[0]), row[nonzero[0] : nonzero[-1] + 1]
+            while m < n:
+                m += 1
+                shift, band = self._pascal_step(band)
+                lo += shift
+                row = None
+                if cache and m <= PMF_CACHE_LIMIT:
+                    row = self._rows[m] = _spread(band, lo, m)
+            yield _spread(band, lo, m) if row is None else row
+
+    def _ascending_rows(self, sizes: Sequence[int]) -> Iterator[np.ndarray]:
+        return self._walk(sizes, cache=False)
 
     def _new_row(self, n: int) -> np.ndarray:
-        # Step up from the largest row at hand at or below n: the memo, a
-        # cached row, or row 2.  Rows stepped through are cached up to
-        # PMF_CACHE_LIMIT and the last one above it is memoized, so callers
-        # going up in n pay one step per row even past the cache.
-        memo_n, row = self._memo
-        m = n
-        while m > 2 and m != memo_n and m not in self._rows:
-            m -= 1
-        if m != memo_n:
-            row = self._rows.get(m, _ROW_2)
-        for size in range(m, n + 1):
-            if size > m:
-                row = self._pascal_step(row)
-            if size <= PMF_CACHE_LIMIT:
-                self._rows[size] = row
-        if n > PMF_CACHE_LIMIT:
-            self._memo = (n, row)
-        return row
+        return next(self._walk([n], cache=True))
 
     def describe(self) -> str:
         return f"binomial(p={self.p!r})"
@@ -374,8 +411,8 @@ class TableKernel(SplitKernel):
         row = self.rows.get(n)
         return self.fallback.split_pmf(n) if row is None else row
 
-    def _ascending_rows(self, n: int) -> Iterator[np.ndarray]:
-        for m, row in enumerate(self.fallback._ascending_rows(n), 2):
+    def _ascending_rows(self, sizes: Sequence[int]) -> Iterator[np.ndarray]:
+        for m, row in zip(sizes, self.fallback._ascending_rows(sizes)):
             yield self.rows.get(m, row)
 
     def describe(self) -> str:
@@ -390,6 +427,59 @@ class TableKernel(SplitKernel):
             fallback=fb.kind,
             fallback_p=fb.p,
         )
+
+
+def _spread(band: np.ndarray, lo: int, n: int) -> np.ndarray:
+    """The read-only split row at size n that holds band from entry lo and 0 elsewhere."""
+    row = np.zeros(n - 1)
+    row[lo : lo + band.size] = band
+    row.setflags(write=False)
+    return row
+
+
+# --- one binomial probability in O(1) ------------------------------------------
+#
+# C. Loader, "Fast and accurate computation of binomial probabilities"
+# (2000): the probability is written through Stirling's formula with its
+# error term and the deviance bd0, each evaluated without cancellation, so
+# the result keeps near full relative accuracy for any number of trials.
+
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _stirlerr(n: int) -> float:
+    """log(n!) - log(sqrt(2 pi n) (n/e)^n), for n >= 1."""
+    if n <= 15:
+        return math.log(math.factorial(n)) - (n + 0.5) * math.log(n) + n - _LOG_SQRT_2PI
+    nn = float(n) * n
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
+
+
+def _bd0(x: float, m: float) -> float:
+    """x log(x/m) + m - x for x, m > 0, by a series in v = (x-m)/(x+m) near x = m."""
+    if abs(x - m) >= 0.1 * (x + m):
+        return x * math.log(x / m) + m - x
+    v = (x - m) / (x + m)
+    s = (x - m) * v
+    term = 2.0 * x * v
+    v2 = v * v
+    j = 3
+    while True:
+        term *= v2
+        s_next = s + term / j
+        if s_next == s:
+            return s
+        s, j = s_next, j + 2
+
+
+def _binomial_pmf(k: int, n: int, p: float, q: float) -> float:
+    """C(n, k) p^k q^(n-k) for n >= 1, with q = 1 - p."""
+    if k == 0:
+        return math.exp(n * math.log1p(-p))
+    if k == n:
+        return math.exp(n * math.log(p))
+    lc = _stirlerr(n) - _stirlerr(k) - _stirlerr(n - k) - _bd0(k, n * p) - _bd0(n - k, n * q)
+    return math.exp(lc) * math.sqrt(n / (2.0 * math.pi * k * (n - k)))
 
 
 def make_kernel(kind: str, p: float | None = None) -> SplitKernel:
@@ -473,8 +563,7 @@ def validate_kernel(kernel: SplitKernel, n_max: int, tol: float | None = None) -
     worst_dev, worst_n = 0.0, 2
     min_entry, min_entry_n = math.inf, 2
     offenders = []
-    for n in range(2, n_max + 1):
-        row = kernel.split_pmf(n)
+    for n, row in enumerate(kernel._ascending_rows(range(2, n_max + 1)), 2):
         dev = abs(float(row.sum()) - 1.0)
         lo = float(row.min())
         if dev > worst_dev:

@@ -242,10 +242,12 @@ class _CdfTable:
 
     Rows of sizes 2..limit are stored back to back in one flat array, each
     the np.cumsum of the kernel's split row like SplitKernel.split_cdf, so a
-    lookup returns exactly the k of the scalar sampler.  They come from the
-    kernel's ascending walk, which leaves its row cache alone.  Rows of
-    larger sizes are built once per distinct size per call and dropped,
-    which keeps memory at O(limit^2 + n) for any n.
+    lookup returns exactly the k of the scalar sampler.  Rows of larger
+    sizes are built once per distinct size per call and dropped, which
+    keeps memory at O(limit^2 + n) for any n.  Both come from the kernel's
+    ascending walk, which leaves its row cache alone.  A binomial walk takes
+    a Pascal step, O(sqrt(m)) wide, for every size m up to the largest one
+    asked; the other kernels build O(m) per distinct size.
     """
 
     def __init__(self, kernel: SplitKernel, limit: int):
@@ -255,7 +257,7 @@ class _CdfTable:
         sizes = np.arange(limit + 1, dtype=np.int64)
         self.start = (sizes - 2) * (sizes - 1) // 2
         self.flat = np.empty(limit * (limit - 1) // 2)
-        for m, row in enumerate(kernel._ascending_rows(limit), 2):
+        for m, row in enumerate(kernel._ascending_rows(range(2, limit + 1)), 2):
             a = int(self.start[m])
             np.cumsum(row, out=self.flat[a : a + m - 1])
 
@@ -268,9 +270,9 @@ class _CdfTable:
             big = np.flatnonzero(~small)
             order = big[np.argsort(m[big], kind="stable")]
             sizes, first = np.unique(m[order], return_index=True)
-            for size, group in zip(sizes, np.split(order, first[1:])):
-                cdf = np.cumsum(self.kernel.split_pmf(int(size)))
-                below[group] = np.searchsorted(cdf, u[group], side="right")
+            rows = self.kernel._ascending_rows(sizes.tolist())
+            for group, row in zip(np.split(order, first[1:]), rows):
+                below[group] = np.searchsorted(np.cumsum(row), u[group], side="right")
         # clamp: cumulative row can fall a few ulp short of 1
         return np.minimum(below + 1, m - 1)
 

@@ -194,8 +194,8 @@ class TestPmfMatrix:
         ids=["binomial", "table"],
     )
     def test_rows_past_the_cache_limit(self, make, monkeypatch):
-        # single rows come from the cache, the memo above the limit or fresh
-        # Pascal steps, depending on the order asked; all equal W's rows
+        # single rows step from whichever cached row is nearest below, so
+        # the order asked decides the path; every path gives W's rows
         monkeypatch.setattr(kernels, "PMF_CACHE_LIMIT", 16)
         n = 40
         W = make().pmf_matrix(n)
@@ -237,9 +237,33 @@ class TestPascalSteps:
         assert validate_kernel(BinomialKernel(0.3), 400).passed
         assert steps[0] == 398
 
+    def test_cold_rows_above_the_cache(self, steps, monkeypatch):
+        # a row above the limit steps from the row at the limit, which the
+        # first one caches on its way, not from row 2
+        monkeypatch.setattr(kernels, "PMF_CACHE_LIMIT", 50)
+        kernel = BinomialKernel(0.3)
+        kernel.split_pmf(400)
+        assert steps[0] == 398
+        assert sorted(kernel._rows) == list(range(3, 51))
+        kernel.split_pmf(300)
+        assert steps[0] == 398 + 250
+
+    def test_sigma_builds_no_row_above_the_cache(self, steps, monkeypatch):
+        monkeypatch.setattr(kernels, "PMF_CACHE_LIMIT", 50)
+        kernel = BinomialKernel(0.3)
+        n = 10**6
+        assert kernel.sigma(1, n - 1) == 0.0  # 0.7^(n-2) underflows
+        # the mode by the local central limit theorem
+        assert kernel.sigma(300_000, n - 300_000) == pytest.approx(
+            1 / math.sqrt(2 * math.pi * (n - 2) * 0.3 * 0.7), rel=1e-4
+        )
+        assert kernel.sigma(30, 51) > 0.0
+        assert steps[0] == 0
+        assert kernel._rows == {}
+
     def test_shared_between_threads(self, monkeypatch):
-        # the cache and the memo above it are shared; every row handed out
-        # must still be the walk's row of the size asked for
+        # the cache is shared; every row handed out must still be the walk's
+        # row of the size asked for
         monkeypatch.setattr(kernels, "PMF_CACHE_LIMIT", 30)
         n = 120
         want = BinomialKernel(0.3).pmf_matrix(n)
@@ -297,12 +321,44 @@ def test_binomial_rows_match_exact(n, p):
     rng = np.random.default_rng(n)
     ks = set(range(max(0, mode - 30), min(n - 1, mode + 31)))
     ks |= set(rng.choice(np.flatnonzero(row >= 1e-300), size=12).tolist())
+    # and the smallest entries checked, nearest the entries dropped in the tails
+    above = np.flatnonzero(row >= 1e-300)
+    ks |= set(above[:3].tolist()) | set(above[-3:].tolist())
     want = exact_binomial_entries(p, n, ks)
     assert want[mode] == float(kernel.sigma_exact(mode + 1, n - 1 - mode))
     for k, w in want.items():
         if w >= 1e-300:
             assert abs(row[k] - w) <= 1e-12 * w, (k, row[k], w)
     assert abs(float(row.sum()) - 1.0) <= CLOSED_FORM_TOL
+
+
+@pytest.mark.parametrize("p", [0.03, 0.3, 0.5, 0.97])
+@pytest.mark.parametrize("n", [17, 100, 2000, 8182, 20_000])
+def test_binomial_sigma_above_the_cache_matches_exact(n, p, monkeypatch):
+    # sigma above the limit is evaluated directly, not read from a row
+    monkeypatch.setattr(kernels, "PMF_CACHE_LIMIT", 16)
+    kernel = BinomialKernel(p)
+    mode = round(p * (n - 2))
+    ks = set(range(max(0, mode - 30), min(n - 1, mode + 31)))
+    ks |= {0, n - 2, (n - 2) // 7, (n - 2) // 3, (n - 2) * 5 // 6}
+    for k, w in exact_binomial_entries(p, n, ks).items():
+        if w >= 1e-300:
+            got = kernel.sigma(k + 1, n - 1 - k)
+            assert abs(got - w) <= 1e-12 * w, (k, got, w)
+    assert kernel._rows == {}
+
+
+@pytest.mark.parametrize("p", [0.03, 0.3, 0.97])
+def test_binomial_row_sums_do_not_drift(p):
+    # a rounded 1 - p would pull every row sum the same way, linearly in n:
+    # 2.3e-13 off at n = 6000 for p = 0.3
+    report = validate_kernel(BinomialKernel(p), 6000, tol=1e-14)
+    assert report.passed, report.summary()
+
+
+def test_binomial_rows_stay_normalized_past_twenty_thousand():
+    report = validate_kernel(BinomialKernel(0.3), 20_000)
+    assert report.passed, report.summary()
 
 
 @settings(max_examples=60, deadline=None)

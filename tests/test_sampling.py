@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from treesource import kernels, sampling
 from treesource.heights import height_cdf
 from treesource.kernels import (
     PMF_CACHE_LIMIT,
@@ -356,18 +357,47 @@ class TestVectorizedDraws:
         u = edge_uniforms(kernel, sizes, rng)
         assert np.array_equal(table.draw(sizes, u), scalar_draws(kernel, sizes, u))
 
+    @pytest.mark.parametrize("limit", [PMF_CACHE_LIMIT, 40])
     @pytest.mark.parametrize(
-        "kernel",
-        [UniformKernel(), TableKernel({5: [0.1, 0.8, 0.1, 0.0]}, BinomialKernel(0.3))],
-        ids=lambda k: k.describe(),
+        "make",
+        [
+            UniformKernel,
+            lambda: BinomialKernel(0.3),
+            lambda: TableKernel({5: [0.1, 0.8, 0.1, 0.0]}, BinomialKernel(0.3)),
+        ],
+        ids=["uniform", "binomial", "table"],
     )
-    def test_mc_leaves_row_caches_alone(self, kernel):
+    def test_mc_leaves_row_caches_alone(self, make, limit, monkeypatch):
+        # with the small limit, most draws are of sizes above the flat table
+        monkeypatch.setattr(kernels, "PMF_CACHE_LIMIT", limit)
+        monkeypatch.setattr(sampling, "PMF_CACHE_LIMIT", limit)
+        kernel = make()
         caches = [kernel._rows]
         if isinstance(kernel, TableKernel):
             caches.append(kernel.fallback._rows)
         before = [len(c) for c in caches]
         mc_expected_height(kernel, 300, 100, seed=3, strategy="cdf")
         assert [len(c) for c in caches] == before
+
+    def test_large_binomial_rows_take_one_walk_per_level(self, monkeypatch):
+        # sizes above the flat table share one ascending walk per draw
+        monkeypatch.setattr(kernels, "PMF_CACHE_LIMIT", 40)
+        steps = [0]
+        step = BinomialKernel._pascal_step
+
+        def counting_step(self, row):
+            steps[0] += 1
+            return step(self, row)
+
+        monkeypatch.setattr(BinomialKernel, "_pascal_step", counting_step)
+        kernel = BinomialKernel(0.3)
+        table = _CdfTable(kernel, 40)
+        assert steps[0] == 38
+        sizes = np.array([300, 41, 7, 120, 300, 97, 41, 250])
+        u = np.random.default_rng(1).random(sizes.size)
+        got = table.draw(sizes, u)
+        assert steps[0] == 38 + 298
+        assert np.array_equal(got, scalar_draws(kernel, sizes, u))
 
     def test_empty_level(self):
         table = _CdfTable(UniformKernel(), 10)
