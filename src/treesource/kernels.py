@@ -21,19 +21,20 @@ b + p*(a - b) for p < 1/2 and as a - q*(a - b) otherwise, so its only
 multiplier is the smaller of p and q, which is an exact double (1 - p rounds
 for p < 1/2, but not for p >= 1/2).  A rounded q would bias every step the
 same way and make row sums drift linearly in n; this form has no such bias,
-and a step's three roundings add at most 3*2^-53 to the relative error of an
-entry above the underflow range.  Against the exact rows at n = 8182, every
-entry above 1e-300 is within 6e-14 relative for p = 0.03, 0.1, 0.3, 0.5, 0.7
-and 0.97, and row sums stay within 1e-15 of one up to n = 40000 for p = 0.3.
-Far out in the tails the rows fall into subnormal doubles, which are slow to
-compute with and mostly rounding noise.  A step therefore sets the entries
-at either end of a row that fall below 2^-1064 to 0 and works on the band
-between them.  Up to n = 30000, every entry above 1e-300 comes out bit for
-bit as without dropping, and the band is O(sqrt(n)) wide.  The step and the
-dropping rule are the same on every path, so a row has the same bits
-whichever path built it.  Building row n costs n - 2 steps, so rows above
-PMF_CACHE_LIMIT are slow to get one at a time; sigma there is evaluated
-directly in O(1) by Loader's saddle-point form and builds no row.
+and a step's three roundings add at most about 3*2^-53 to the relative error
+of an entry above the underflow range.  Against the exact rows at n = 8182,
+every entry above 1e-300 is within 6e-14 relative for p = 0.03, 0.1, 0.3,
+0.5, 0.7 and 0.97, and row sums stay within 1e-15 of one up to n = 40000 for
+p = 0.3.  Far out in the tails the rows fall into subnormal doubles, which
+are slow to compute with and mostly rounding noise.  A step therefore sets
+the entries at either end of a row that fall below 2^-1064 to 0 and works on
+the band between them, which is O(sqrt(n)) wide.  At n = 8182 and 30000, for
+p = 0.03, 0.3, 0.5 and 0.97, every entry above 1e-300 comes out bit for bit
+as without dropping.  The step and the dropping rule are the same on every
+path, so a row has the same bits whichever path built it.  Building row n
+costs n - 2 steps, so rows above PMF_CACHE_LIMIT are slow to get one at a
+time; sigma there is evaluated directly in O(1) by Loader's saddle-point
+form and builds no row.
 
 Kernels are immutable and safe to share across threads: row caches are
 filled under a lock and only ever read afterwards.
