@@ -13,7 +13,7 @@ n >= n_min.  The certificate is built from the companion function
 giving E(e^H_n) <= e^n_min * g(n) and E(H_n) <= ln g(n) + n_min.  The
 fitted shift only sharpens the membership envelope; the certificate's
 side conditions concern the unshifted family c*x^(-alpha) and follow from
-c >= 1/e and 0 <= alpha <= 1 (see _check_conditions).
+c >= 1/e and 0 <= alpha <= 1 (see UpperBoundedParams).
 
 Weakly balanced sources put mass at least phi(n) on middle splits
 (gamma*n <= k <= (1-gamma)*n) for n >= n_min.  With the exponent
@@ -25,6 +25,10 @@ Certificate magnitudes overflow doubles quickly, so every bound is carried
 as a logarithm and all comparisons happen on the log scale, each family in
 its own base: natural log for the envelope family, base 2 for the balance
 family.  Reports label the base.
+
+Each params class answers for its family: its label and log base, the
+moment base at size n, its certificate at n and whether a split row meets
+membership at n.  Verification is one loop over the grid for both.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import ClassVar, Iterable
 
 import numpy as np
 
@@ -45,7 +49,6 @@ __all__ = [
     "PhiFunction",
     "UpperBoundedParams",
     "WeaklyBalancedParams",
-    "ConditionChecks",
     "UpperBoundCertificate",
     "BalanceCertificate",
     "BoundRow",
@@ -134,11 +137,33 @@ class PhiFunction:
 class UpperBoundedParams:
     """Envelope class: symmetrized splits <= c*(x - shift)^(-alpha) from n_min on.
 
-    c >= 1/e is required by the certificate's closed forms and enforced
-    uniformly.  shift defaults to 0; a positive shift tightens membership
-    for kernels whose envelope has the shifted form, while the certificate
-    itself is computed from (c, alpha) alone.
+    shift defaults to 0; a positive shift tightens membership for kernels
+    whose envelope has the shifted form, while the certificate itself is
+    computed from (c, alpha) alone.
+
+    The certificate's side conditions hold for every instance, because
+    __post_init__ enforces their premises.
+
+    Lemma.  If c >= 1/e and 0 <= alpha <= 1, then for every x >= 1:
+
+    (i) ln g is nondecreasing: d/dx ln g(x) = (e*c*x^(1-alpha) - alpha)/x,
+        and e*c*x^(1-alpha) >= e*c >= 1 >= alpha because x^(1-alpha) >= 1.
+    (ii) g(x) >= e*psi(x)*exp(e*Psi(x)), where psi(x) = c*x^(-alpha) and
+        Psi(x) = c*x^(1-alpha)/(1-alpha) (c*ln x at alpha = 1) is its
+        antiderivative: the log of the right side,
+        1 + ln c - alpha*ln x + e*Psi(x), is ln g(x) term by term, so (ii)
+        holds with equality.
+    (iii) g(1) >= 1: ln g(1) = ln c + 1 + e*c/(1-alpha) >= ln c + 1 >= 0
+        for alpha < 1, and ln g(1) = ln c + 1 >= 0 at alpha = 1.
+
+    No condition is evaluated in floating point, where (ii) would compare
+    two roundings of one number and could fail at large x.
     """
+
+    family: ClassVar[str] = "envelope-bounded"
+    log_base: ClassVar[str] = "e"
+    ln_base: ClassVar[float] = 1.0
+    conditions_ok: ClassVar["bool | None"] = True  # by the lemma
 
     c: float
     alpha: float
@@ -161,6 +186,17 @@ class UpperBoundedParams:
             raise ValueError(f"envelope undefined at n={n} with shift {self.shift}")
         return self.c * (n - self.shift) ** (-self.alpha)
 
+    def moment_base(self, n: int) -> float:
+        """Base b of the certified moment E(b^H_n)."""
+        return math.e
+
+    def certificate(self, n: int) -> "UpperBoundCertificate":
+        return upper_bounded_certificate(self, n)
+
+    def admits(self, n: int, row: np.ndarray) -> bool:
+        """Membership at size n: the split row's envelope is at most psi(n)."""
+        return _envelope(row) <= self.psi(n) + PASS_TOL
+
     def describe(self) -> str:
         base = f"x-{self.shift:g}" if self.shift else "x"
         return f"psi(x)={self.c:g}*({base})^(-{self.alpha:g}), n_min={self.n_min}"
@@ -168,7 +204,15 @@ class UpperBoundedParams:
 
 @dataclass(frozen=True)
 class WeaklyBalancedParams:
-    """Balance class: middle-split mass >= phi(n) at cut gamma from n_min on."""
+    """Balance class: middle-split mass >= phi(n) at cut gamma from n_min on.
+
+    The certificate has no side conditions.
+    """
+
+    family: ClassVar[str] = "weakly-balanced"
+    log_base: ClassVar[str] = "2"
+    ln_base: ClassVar[float] = _LN2
+    conditions_ok: ClassVar["bool | None"] = None
 
     phi: PhiFunction
     gamma: float
@@ -179,6 +223,17 @@ class WeaklyBalancedParams:
             raise ValueError(f"need 0 < gamma < 1/2, got {self.gamma}")
         if self.n_min < 1:
             raise ValueError(f"need n_min >= 1, got {self.n_min}")
+
+    def moment_base(self, n: int) -> float:
+        """Base b of the certified moment E(b^H_n)."""
+        return 1.0 + self.phi(n)
+
+    def certificate(self, n: int) -> "BalanceCertificate":
+        return weakly_balanced_certificate(self, n)
+
+    def admits(self, n: int, row: np.ndarray) -> bool:
+        """Membership at size n: the split row's middle mass is at least phi(n)."""
+        return _balance(row, self.gamma) >= self.phi(n) - PASS_TOL
 
     def describe(self) -> str:
         return f"phi(n)={self.phi.describe()}, gamma={self.gamma:g}, n_min={self.n_min}"
@@ -253,44 +308,6 @@ def balance_exponent(phi_value: float, gamma: float) -> float:
 
 
 @dataclass(frozen=True)
-class ConditionChecks:
-    """Side conditions of the envelope certificate, over all x >= 1."""
-
-    companion_increasing: bool
-    dominates_envelope: bool
-    unit_at_one: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.companion_increasing and self.dominates_envelope and self.unit_at_one
-
-
-def _check_conditions(params: UpperBoundedParams) -> ConditionChecks:
-    """Side conditions of the envelope certificate, decided in closed form.
-
-    Lemma.  If c >= 1/e and 0 <= alpha <= 1, then for every x >= 1:
-
-    (i) ln g is nondecreasing: d/dx ln g(x) = (e*c*x^(1-alpha) - alpha)/x,
-        and e*c*x^(1-alpha) >= e*c >= 1 >= alpha because x^(1-alpha) >= 1.
-    (ii) g(x) >= e*psi(x)*exp(e*Psi(x)), where psi(x) = c*x^(-alpha) and
-        Psi(x) = c*x^(1-alpha)/(1-alpha) (c*ln x at alpha = 1) is its
-        antiderivative: the log of the right side,
-        1 + ln c - alpha*ln x + e*Psi(x), is ln g(x) term by term, so (ii)
-        holds with equality.
-    (iii) g(1) >= 1: ln g(1) = ln c + 1 + e*c/(1-alpha) >= ln c + 1 >= 0
-        for alpha < 1, and ln g(1) = ln c + 1 >= 0 at alpha = 1.
-
-    UpperBoundedParams enforces both premises, so each condition is the
-    premises.  Evaluating (ii) in floating point would compare two
-    roundings of one number, which can differ at large x.
-    """
-    premises = params.c >= 1.0 / math.e and 0.0 <= params.alpha <= 1.0
-    return ConditionChecks(
-        companion_increasing=premises, dominates_envelope=premises, unit_at_one=premises
-    )
-
-
-@dataclass(frozen=True)
 class UpperBoundCertificate:
     """Finite-size envelope certificate at one size; logs are natural."""
 
@@ -298,7 +315,6 @@ class UpperBoundCertificate:
     companion_log: float
     moment_bound_log: float  # bounds E(e^H_n)
     height_bound: float
-    conditions: ConditionChecks
 
 
 def upper_bounded_certificate(params: UpperBoundedParams, n: int) -> UpperBoundCertificate:
@@ -311,7 +327,6 @@ def upper_bounded_certificate(params: UpperBoundedParams, n: int) -> UpperBoundC
         companion_log=g,
         moment_bound_log=params.n_min + g,
         height_bound=g + params.n_min,
-        conditions=_check_conditions(params),
     )
 
 
@@ -322,7 +337,7 @@ class BalanceCertificate:
     n: int
     base: float  # moment base 1 + phi(n)
     exponent: float
-    moment_bound_log2: float  # bounds E(base^H_n)
+    moment_bound_log: float  # bounds E(base^H_n)
     height_bound: float
 
 
@@ -337,7 +352,7 @@ def weakly_balanced_certificate(params: WeaklyBalancedParams, n: int) -> Balance
         n=n,
         base=1.0 + phi_n,
         exponent=kappa,
-        moment_bound_log2=params.n_min + kappa * log2n,
+        moment_bound_log=params.n_min + kappa * log2n,
         height_bound=(kappa * log2n + params.n_min) / math.log2(1.0 + phi_n),
     )
 
@@ -381,7 +396,7 @@ class BoundReport:
     log_base: str  # "e" or "2"
     tail_tol: float
     rows: tuple[BoundRow, ...]
-    conditions_ok: "bool | None" = None  # envelope family only
+    conditions_ok: "bool | None" = None  # the params class's, kept as a report key
 
     CSV_COLUMNS = (
         "n",
@@ -397,7 +412,7 @@ class BoundReport:
 
     @property
     def all_pass(self) -> bool:
-        return self.conditions_ok is not False and all(row.passed for row in self.rows)
+        return all(row.passed for row in self.rows)
 
     def to_csv(self) -> str:
         lines = [
@@ -487,40 +502,25 @@ def verify_certificates(
     For each requested size: membership (where required, n >= n_min),
     the moment inequality, and the height inequality, each allowed PASS_TOL
     slack on its comparison scale.  All exact quantities for the whole grid
-    come from one scan at the largest size.
+    come from one scan at the largest size, and membership rows from one
+    ascending walk over the required sizes, which caches no row.
     """
     sizes = sorted(set(int(n) for n in ns))
     if not sizes or sizes[0] < 1:
         raise ValueError("size grid must be nonempty with all sizes >= 1")
     n_max = sizes[-1]
-    upper = isinstance(params, UpperBoundedParams)
-
-    if upper:
-        bases: "float | np.ndarray" = math.e
-    else:
-        bases = np.ones(n_max + 1)
-        bases[1:] = 1.0 + np.array([params.phi(i) for i in range(1, n_max + 1)])
+    bases = np.ones(n_max + 1)
+    bases[1:] = [params.moment_base(m) for m in range(1, n_max + 1)]
     exact, moment_log_nat, _ = _grid_scan(kernel, n_max, tail_tol, mem_budget, bases)
+    required = [n for n in sizes if n >= max(2, params.n_min)]
+    walk = zip(required, kernel._ascending_rows(required))
+    member = {n: params.admits(n, row) for n, row in walk}
 
     rows = []
     for n in sizes:
-        required = n >= max(2, params.n_min)
-        if upper:
-            cert = upper_bounded_certificate(params, n)
-            bound_log = cert.moment_bound_log
-            height_bound = cert.height_bound
-            log_nat = float(moment_log_nat[n])
-            mlog = log_nat
-            member = (not required) or psi_envelope(kernel, n) <= params.psi(n) + PASS_TOL
-        else:
-            cert = weakly_balanced_certificate(params, n)
-            bound_log = cert.moment_bound_log2
-            height_bound = cert.height_bound
-            log_nat = float(moment_log_nat[n])
-            mlog = log_nat / _LN2
-            member = (not required) or phi_balance(kernel, n, params.gamma) >= params.phi(
-                n
-            ) - PASS_TOL
+        cert = params.certificate(n)
+        log_nat = float(moment_log_nat[n])
+        mlog = log_nat / params.ln_base
         moment = math.exp(log_nat) if log_nat < _MAX_EXP else math.inf
         mc_eh = mc_stderr = None
         if mc_replicates > 0 and n >= 2:
@@ -535,22 +535,22 @@ def verify_certificates(
                 mc_stderr=mc_stderr,
                 moment=moment,
                 moment_log=mlog,
-                moment_bound_log=bound_log,
-                height_bound=height_bound,
-                membership_required=required,
-                membership_ok=bool(member),
-                moment_ok=bool(mlog <= bound_log + PASS_TOL),
-                height_ok=bool(exact[n] <= height_bound + PASS_TOL),
+                moment_bound_log=cert.moment_bound_log,
+                height_bound=cert.height_bound,
+                membership_required=n in member,
+                membership_ok=member.get(n, True),
+                moment_ok=bool(mlog <= cert.moment_bound_log + PASS_TOL),
+                height_ok=bool(exact[n] <= cert.height_bound + PASS_TOL),
             )
         )
     return BoundReport(
         kernel=kernel.describe(),
-        family="envelope-bounded" if upper else "weakly-balanced",
+        family=params.family,
         params=params.describe(),
-        log_base="e" if upper else "2",
+        log_base=params.log_base,
         tail_tol=tail_tol,
         rows=tuple(rows),
-        conditions_ok=_check_conditions(params).ok if upper else None,
+        conditions_ok=params.conditions_ok,
     )
 
 
@@ -587,12 +587,21 @@ def _geometric_grid(lo: int, hi: int, points: int = 24) -> tuple[int, ...]:
 def _fit_balance_n_min(
     kernel: SplitKernel, phi: PhiFunction, gamma: float, scan_max: int
 ) -> int:
-    """Smallest N with phi_balance >= phi(n) for every n in [N, scan_max]."""
+    """Smallest N with phi_balance >= phi(n) for every n in [N, scan_max].
+
+    Raises ValueError when balance fails at scan_max itself, since then no
+    start size lies in the scanned range.
+    """
     last_violation = 1
     sizes = range(2, scan_max + 1)
     for n, row in zip(sizes, kernel._ascending_rows(sizes)):
         if _balance(row, gamma) < phi(n):
             last_violation = n
+    if last_violation == scan_max:
+        raise ValueError(
+            f"{kernel.describe()}: balance at cut {gamma:g} is below phi(n)={phi.describe()} "
+            f"at n={scan_max}, so the scanned range 2..{scan_max} holds no start size"
+        )
     return last_violation + 1
 
 
@@ -607,7 +616,8 @@ def make_preset(name: str, p: float = 0.5) -> Preset:
 
     The two bst presets are backed by exact envelope and balance values.
     The others fit n_min (or the envelope coefficient) by scanning the
-    stated range, so their guarantees are range-verified, not proven.
+    stated range, so their guarantees are range-verified, not proven.  A
+    balance fit whose range holds no start size raises ValueError.
     """
     if name == "bst-upper":
         return Preset(

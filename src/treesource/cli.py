@@ -29,9 +29,7 @@ from .bounds import (
     UpperBoundedParams,
     WeaklyBalancedParams,
     make_preset,
-    upper_bounded_certificate,
     verify_certificates,
-    weakly_balanced_certificate,
 )
 from .heights import DEFAULT_TAIL_TOL, ScanBudgetError, expected_height_grid, height_cdf
 from .kernels import (
@@ -42,8 +40,7 @@ from .kernels import (
     render_kernel_spec,
     validate_kernel,
 )
-from .sampling import SampleConfig, mc_expected_height, replicate_seed, sample_height, sample_tree
-from .trees import shape_bits
+from .sampling import SampleConfig, mc_expected_height, replicate_seed, sample_height, sample_shape
 
 __all__ = ["main", "RunManifest"]
 
@@ -204,13 +201,11 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     config = SampleConfig(
         n=args.n, replicates=args.replicates, seed=args.seed, strategy=args.strategy
     )
+    sample = sample_height if args.what == "heights" else sample_shape
     lines = ["replicate,height" if args.what == "heights" else "replicate,shape"]
     for r in range(config.replicates):
         seed_r = replicate_seed(config.seed, r)
-        if args.what == "heights":
-            lines.append(f"{r},{sample_height(kernel, config.n, seed_r, config.strategy)}")
-        else:
-            lines.append(f"{r},{shape_bits(sample_tree(kernel, config.n, seed_r, config.strategy))}")
+        lines.append(f"{r},{sample(kernel, config.n, seed_r, config.strategy)}")
     manifest = RunManifest(
         subcommand="sample",
         kernel=render_kernel_spec(kernel),
@@ -286,19 +281,14 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 
 
 def _certificate_rows(kernel, params, grid):
-    upper = isinstance(params, UpperBoundedParams)
     lines = [
         f"# kernel={kernel.describe()} params=[{params.describe()}] "
-        f"moment_log_base={'e' if upper else '2'}",
+        f"moment_log_base={params.log_base}",
         "n,moment_bound_log,height_bound",
     ]
     for n in grid:
-        if upper:
-            cert = upper_bounded_certificate(params, n)
-            lines.append(f"{n},{_fmt(cert.moment_bound_log)},{_fmt(cert.height_bound)}")
-        else:
-            cert = weakly_balanced_certificate(params, n)
-            lines.append(f"{n},{_fmt(cert.moment_bound_log2)},{_fmt(cert.height_bound)}")
+        cert = params.certificate(n)
+        lines.append(f"{n},{_fmt(cert.moment_bound_log)},{_fmt(cert.height_bound)}")
     return "\n".join(lines)
 
 

@@ -3,18 +3,18 @@
 A sample is grown top-down: starting from the full leaf budget, each
 pending block of m leaves either becomes a leaf (m = 1) or draws a left
 share k from the size-m split row and splits into blocks of k and m - k.
-sample_tree and sample_height expand one tree with an explicit work stack
-in pre-order, so comb-like trees of any size cannot overflow the
-interpreter stack.  Monte Carlo grows many trees at once instead, one
-tree level at a time, with one vectorized draw per level for every
-pending block of every replicate.
+sample_shape, sample_tree and sample_height expand one tree by one
+traversal with an explicit work stack in pre-order, so comb-like trees of
+any size cannot overflow the interpreter stack.  Monte Carlo grows many
+trees at once instead, one tree level at a time, with one vectorized draw
+per level for every pending block of every replicate.
 
 Reproducibility contract, for a fixed build of this package (bit-identical
 output across numpy versions is not promised):
 
-* sample_tree and sample_height are pure functions of (kernel, size, seed,
-  strategy), and consume the same draws in the same order, so they agree
-  for equal seeds.  The sample subcommand draws replicate r from
+* sample_shape, sample_tree and sample_height are pure functions of
+  (kernel, size, seed, strategy) and read one traversal, so they agree for
+  equal seeds.  The sample subcommand draws replicate r from
   replicate_seed(seed, r) and is bit-stable per seed.
 * mc_heights and mc_expected_height are pure functions of (kernel, n,
   replicates, seed, strategy).  Replicates are grown in blocks of
@@ -40,6 +40,7 @@ __all__ = [
     "SampleConfig",
     "mix64",
     "replicate_seed",
+    "sample_shape",
     "sample_tree",
     "sample_height",
     "sample_uniform_remy",
@@ -129,58 +130,50 @@ def _split_drawer(
     return draw
 
 
-def _preorder_bits(
-    kernel: SplitKernel, n: int, rng: np.random.Generator, strategy: str
-) -> list[str]:
-    """Expand n leaves to pre-order shape bits, drawing one split per inner node."""
+def _preorder(
+    kernel: SplitKernel, n: int, seed: "int | np.random.Generator", strategy: str
+) -> tuple[str, int]:
+    """Pre-order shape bits and height of one tree, drawing one split per inner node."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    draw = _split_drawer(kernel, rng, strategy)
+    draw = _split_drawer(kernel, _rng(seed), strategy)
     bits = []
-    stack = [n]
+    height = 0
+    stack = [(n, 0)]
     while stack:
-        m = stack.pop()
+        m, depth = stack.pop()
         if m == 1:
             bits.append("0")
+            if depth > height:
+                height = depth
         else:
             bits.append("1")
             k = draw(m)
-            stack.append(m - k)
-            stack.append(k)
-    return bits
+            depth += 1
+            stack.append((m - k, depth))
+            stack.append((k, depth))
+    return "".join(bits), height
+
+
+def sample_shape(
+    kernel: SplitKernel, n: int, seed: "int | np.random.Generator", strategy: str = "auto"
+) -> str:
+    """Pre-order shape bits of sample_tree(kernel, n, seed) ('1' inner, '0' leaf)."""
+    return _preorder(kernel, n, seed, strategy)[0]
 
 
 def sample_tree(
     kernel: SplitKernel, n: int, seed: "int | np.random.Generator", strategy: str = "auto"
 ) -> BinaryTree:
     """Draw one size-n tree from the kernel's distribution."""
-    return tree_from_shape_bits("".join(_preorder_bits(kernel, n, _rng(seed), strategy)))
+    return tree_from_shape_bits(sample_shape(kernel, n, seed, strategy))
 
 
 def sample_height(
     kernel: SplitKernel, n: int, seed: "int | np.random.Generator", strategy: str = "auto"
 ) -> int:
-    """Height of sample_tree(kernel, n, seed) without materializing the tree.
-
-    Consumes random draws in exactly the same order as sample_tree, so the
-    two agree for equal seeds.
-    """
-    rng = _rng(seed)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    draw = _split_drawer(kernel, rng, strategy)
-    height = 0
-    stack = [(n, 0)]
-    while stack:
-        m, depth = stack.pop()
-        if m == 1:
-            if depth > height:
-                height = depth
-        else:
-            k = draw(m)
-            stack.append((m - k, depth + 1))
-            stack.append((k, depth + 1))
-    return height
+    """Height of sample_tree(kernel, n, seed) without materializing the tree."""
+    return _preorder(kernel, n, seed, strategy)[1]
 
 
 def sample_uniform_remy(n: int, seed: "int | np.random.Generator") -> BinaryTree:

@@ -24,7 +24,7 @@ from treesource.bounds import (
     weakly_balanced_certificate,
 )
 from treesource.heights import exp_moment_grid, expected_height_grid
-from treesource.kernels import BinomialKernel, BstKernel, UniformKernel
+from treesource.kernels import BinomialKernel, BstKernel, TableKernel, UniformKernel
 from treesource.trees import count_trees
 
 
@@ -80,6 +80,13 @@ class TestParamsValidation:
             UpperBoundedParams(c=0.3, alpha=0.5, n_min=1)  # below 1/e
         with pytest.raises(ValueError):
             UpperBoundedParams(c=1.0, alpha=1.5, n_min=1)
+        with pytest.raises(ValueError):
+            UpperBoundedParams(c=1.0, alpha=-0.1, n_min=1)
+        with pytest.raises(ValueError):
+            UpperBoundedParams(c=math.nextafter(1.0 / math.e, 0.0), alpha=0.5, n_min=1)
+        # the premises' edges are admitted
+        UpperBoundedParams(c=1.0 / math.e, alpha=0.0, n_min=1)
+        UpperBoundedParams(c=1.0 / math.e, alpha=1.0, n_min=1)
         with pytest.raises(ValueError):
             UpperBoundedParams(c=1.0, alpha=0.5, n_min=0)
         with pytest.raises(ValueError):
@@ -211,7 +218,6 @@ class TestEnvelopeCertificate:
         assert cert.companion_log == pytest.approx(want, rel=1e-15)
         assert cert.moment_bound_log == pytest.approx(2 + want, rel=1e-15)
         assert cert.height_bound == pytest.approx(want + 2, rel=1e-15)
-        assert cert.conditions.ok
 
     def test_power_family_closed_form(self):
         params = UpperBoundedParams(c=1.5, alpha=0.5, n_min=4)
@@ -236,16 +242,26 @@ class TestEnvelopeCertificate:
         ],
     )
     def test_side_conditions_hold(self, params):
-        assert upper_bounded_certificate(params, 2000).conditions.ok
-        assert upper_bounded_certificate(params, 20000).conditions.ok
+        # the lemma in UpperBoundedParams, on the computed companion:
+        # ln g is nondecreasing, ln g(1) >= 0, and ln g equals the log of
+        # e*psi(x)*exp(e*Psi(x)) for the unshifted envelope
+        c, alpha = params.c, params.alpha
+        xs = [1, 2, 3, 10, 100, 2000, 20000, 10**6]
+        logs = [upper_bounded_certificate(params, x).companion_log for x in xs]
+        assert all(b >= a for a, b in zip(logs, logs[1:]))
+        assert logs[0] >= 0.0
+        for x, lg in zip(xs, logs):
+            big_psi = c * math.log(x) if alpha == 1.0 else c * x ** (1 - alpha) / (1 - alpha)
+            rhs = 1.0 + math.log(c) - alpha * math.log(x) + math.e * big_psi
+            assert lg == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     def test_side_conditions_hold_at_huge_sizes(self):
-        # the domination condition is an identity; rounding must not fail it
+        # the lemma decides the side conditions, so no size can fail them;
+        # the bound stays finite and nondecreasing out to 10^14
         params = make_preset("bin-upper").params
-        cert = upper_bounded_certificate(params, 10**14)
-        assert cert.conditions.dominates_envelope
-        assert cert.conditions.ok
-        assert math.isfinite(cert.height_bound)
+        near, far = (upper_bounded_certificate(params, n) for n in (10**13, 10**14))
+        assert math.isfinite(far.height_bound)
+        assert far.companion_log >= near.companion_log
 
     def test_size_validation(self):
         with pytest.raises(ValueError):
@@ -259,7 +275,7 @@ class TestBalanceCertificate:
         kappa = balance_exponent(0.5, 0.25)
         assert cert.base == 1.5
         assert cert.exponent == kappa
-        assert cert.moment_bound_log2 == pytest.approx(2 + kappa * 10, rel=1e-14)
+        assert cert.moment_bound_log == pytest.approx(2 + kappa * 10, rel=1e-14)
         assert cert.height_bound == pytest.approx(
             (kappa * 10 + 2) / math.log2(1.5), rel=1e-14
         )
@@ -347,6 +363,47 @@ class TestVerifyCertificates:
         with pytest.raises(ValueError):
             verify_certificates(preset.kernel, preset.params, [0, 5])
 
+    def test_leaves_row_caches_as_found(self):
+        # membership rows come from one ascending walk, which caches nothing
+        preset = make_preset("bin-upper")
+        report = verify_certificates(preset.kernel, preset.params, preset.default_grid)
+        assert report.all_pass
+        assert len(preset.kernel._rows) == 0 and len(preset.kernel._cdfs) == 0
+
+        table = TableKernel({5: [0.1, 0.4, 0.4, 0.1]}, BinomialKernel(0.3))
+        table.split_pmf(40)  # a warm cache keeps exactly its rows
+        before = (set(table._rows), set(table.fallback._rows), set(table.fallback._cdfs))
+        params = UpperBoundedParams(c=2.0, alpha=0.5, n_min=2)
+        verify_certificates(table, params, [2, 5, 60, 300], mc_replicates=20)
+        after = (set(table._rows), set(table.fallback._rows), set(table.fallback._cdfs))
+        assert after == before
+
+    @pytest.mark.parametrize("name", ["bin-upper", "bin-wbal"])
+    def test_membership_matches_pointwise_diagnostics(self, name):
+        preset = make_preset(name, p=0.3)
+        params = preset.params
+        sizes = [n for n in range(2, 2049, 97)] + [params.n_min - 1, params.n_min]
+        report = verify_certificates(preset.kernel, params, sizes)
+        for row in report.rows:
+            n = row.n
+            assert row.membership_required == (n >= params.n_min)
+            if not row.membership_required:
+                assert row.membership_ok
+            elif name == "bin-upper":
+                envelope = psi_envelope(preset.kernel, n)
+                assert row.membership_ok == (envelope <= params.psi(n) + PASS_TOL)
+            else:
+                mass = phi_balance(preset.kernel, n, params.gamma)
+                assert row.membership_ok == (mass >= params.phi(n) - PASS_TOL)
+
+    def test_families_report_their_own_labels(self):
+        up = UpperBoundedParams(c=2.0, alpha=1.0, n_min=2, shift=1.0)
+        wb = WeaklyBalancedParams(phi=PhiFunction.inv_sqrt(1.0), gamma=0.25, n_min=2)
+        assert (up.family, up.log_base, up.moment_base(7)) == ("envelope-bounded", "e", math.e)
+        assert (wb.family, wb.log_base, wb.moment_base(100)) == ("weakly-balanced", "2", 1.1)
+        assert up.certificate(9) == upper_bounded_certificate(up, 9)
+        assert wb.certificate(9) == weakly_balanced_certificate(wb, 9)
+
     @pytest.mark.parametrize("name", ["bst-upper", "bst-wbal"])
     def test_one_scan_feeds_every_row(self, name, monkeypatch):
         preset = make_preset(name)
@@ -410,6 +467,15 @@ class TestReportSerialization:
             row["height_bound"] - row["exact_EH"]
         )
 
+    @pytest.mark.parametrize("name, want", [("bst-upper", True), ("bst-wbal", None)])
+    def test_json_conditions_key(self, name, want):
+        # the envelope family's side conditions follow from its premises;
+        # the balance family has none
+        preset = make_preset(name)
+        obj = json.loads(verify_certificates(preset.kernel, preset.params, [2, 9]).to_json())
+        assert "conditions_ok" in obj
+        assert obj["conditions_ok"] is want
+
     def test_infinite_moment_serializes(self):
         # linear moments can overflow while their logs stay finite; the
         # report must carry that through both formats
@@ -467,6 +533,17 @@ class TestPresets:
         assert make_preset("bin-wbal", p=0.5).params.n_min == 279
         assert make_preset("bin-wbal", p=0.3).params.n_min == 379
         assert make_preset("bin-wbal", p=0.3).params.gamma == pytest.approx(0.27)
+
+    @pytest.mark.parametrize("p", [0.05, 0.95])
+    def test_balance_fit_without_start_size_raises(self, p):
+        # balance still fails at the end of the scan, so n_min would lie past it
+        with pytest.raises(ValueError, match=rf"p={p}\).*2\.\.2048"):
+            make_preset("bin-wbal", p=p)
+
+    def test_balance_fit_inside_the_range_builds(self):
+        preset = make_preset("bin-wbal", p=0.1)
+        assert preset.params.n_min == 1390
+        assert preset.default_grid[0] == 1390 and preset.default_grid[-1] == 2048
 
     def test_binomial_envelope_fit(self):
         preset = make_preset("bin-upper", p=0.5)

@@ -6,7 +6,15 @@ import sys
 import pytest
 
 from treesource.cli import main, parse_grid
-from treesource.trees import tree_from_shape_bits
+from treesource.kernels import (
+    BinomialKernel,
+    BstKernel,
+    TableKernel,
+    UniformKernel,
+    render_kernel_spec,
+)
+from treesource.sampling import replicate_seed, sample_tree
+from treesource.trees import shape_bits, tree_from_shape_bits
 
 
 def run_cli(capsys, *argv):
@@ -176,6 +184,27 @@ class TestSample:
         for line in lines[1:]:
             assert tree_from_shape_bits(line.split(",")[1]).size == 9
 
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            BstKernel(),
+            UniformKernel(),
+            BinomialKernel(0.3),
+            TableKernel({3: [0.2, 0.8], 7: [0.1, 0.1, 0.3, 0.3, 0.1, 0.1]}, BinomialKernel(0.3)),
+        ],
+        ids=lambda k: k.kind,
+    )
+    @pytest.mark.parametrize("strategy", ["auto", "cdf"])
+    def test_tree_shapes_match_sample_tree(self, capsys, kernel, strategy):
+        code, out, _ = run_cli(
+            capsys, "sample", "--kernel-json", render_kernel_spec(kernel), "--n", "40",
+            "--replicates", "6", "--what", "trees", "--seed", "11", "--strategy", strategy,
+        )
+        assert code == 0
+        for r, line in enumerate(out.strip().split("\n")[1:]):
+            tree = sample_tree(kernel, 40, replicate_seed(11, r), strategy)
+            assert line == f"{r},{shape_bits(tree)}"
+
     def test_seed_changes_stream(self, capsys):
         _, a, _ = run_cli(capsys, "sample", "--kernel", "bst", "--n", "30",
                           "--replicates", "3", "--seed", "0")
@@ -261,6 +290,12 @@ class TestVerify:
         pass_col = header.index("pass")
         assert all(l.split(",")[pass_col] == "true" for l in lines[2:])
         assert "all pass" in err
+
+    def test_preset_fit_without_start_size_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--preset", "bin-wbal", "--p", "0.05")
+        assert code == 1
+        assert out == ""
+        assert "binomial(p=0.05)" in err and "2..2048" in err
 
     def test_bad_params_fail_with_exit_2(self, capsys):
         code, out, err = run_cli(
