@@ -42,7 +42,7 @@ import numpy as np
 
 from .heights import DEFAULT_MEM_BUDGET, DEFAULT_TAIL_TOL, _grid_scan
 from .kernels import BinomialKernel, BstKernel, SplitKernel, UniformKernel
-from .sampling import mc_expected_height, replicate_seed
+from .sampling import mc_expected_height_grid
 
 __all__ = [
     "PASS_TOL",
@@ -502,19 +502,23 @@ def verify_certificates(
     For each requested size: membership (where required, n >= n_min),
     the moment inequality, and the height inequality, each allowed PASS_TOL
     slack on its comparison scale.  All exact quantities for the whole grid
-    come from one scan at the largest size, and membership rows from one
-    ascending walk over the required sizes, which caches no row.
+    come from one scan at the largest size, membership rows from one
+    ascending walk over the required sizes, which caches no row, and the
+    Monte Carlo columns (sizes n >= 2) from one mc_expected_height_grid.
     """
     sizes = sorted(set(int(n) for n in ns))
     if not sizes or sizes[0] < 1:
         raise ValueError("size grid must be nonempty with all sizes >= 1")
     n_max = sizes[-1]
+    # sizes off the grid keep base 1; no row reads their moments
     bases = np.ones(n_max + 1)
-    bases[1:] = [params.moment_base(m) for m in range(1, n_max + 1)]
+    bases[sizes] = [params.moment_base(m) for m in sizes]
     exact, moment_log_nat, _ = _grid_scan(kernel, n_max, tail_tol, mem_budget, bases)
     required = [n for n in sizes if n >= max(2, params.n_min)]
     walk = zip(required, kernel._ascending_rows(required))
     member = {n: params.admits(n, row) for n, row in walk}
+    mc_sizes = [n for n in sizes if n >= 2] if mc_replicates > 0 else []
+    mc = mc_expected_height_grid(kernel, mc_sizes, mc_replicates, seed) if mc_sizes else {}
 
     rows = []
     for n in sizes:
@@ -522,11 +526,7 @@ def verify_certificates(
         log_nat = float(moment_log_nat[n])
         mlog = log_nat / params.ln_base
         moment = math.exp(log_nat) if log_nat < _MAX_EXP else math.inf
-        mc_eh = mc_stderr = None
-        if mc_replicates > 0 and n >= 2:
-            mc_eh, mc_stderr = mc_expected_height(
-                kernel, n, mc_replicates, seed=replicate_seed(seed, n)
-            )
+        mc_eh, mc_stderr = mc.get(n, (None, None))
         rows.append(
             BoundRow(
                 n=n,

@@ -40,7 +40,7 @@ from .kernels import (
     render_kernel_spec,
     validate_kernel,
 )
-from .sampling import SampleConfig, mc_expected_height, replicate_seed, sample_height, sample_shape
+from .sampling import mc_expected_height_grid, replicate_seed, sample_height, sample_shape
 
 __all__ = ["main", "RunManifest"]
 
@@ -66,7 +66,6 @@ class RunManifest:
     n_max: "int | None" = None
     seed: "int | None" = None
     replicates: "int | None" = None
-    strategy: "str | None" = None
     what: "str | None" = None
     tail_tol: "float | None" = None
     tol: "float | None" = None
@@ -198,21 +197,20 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     kernel = _resolve_kernel(args)
-    config = SampleConfig(
-        n=args.n, replicates=args.replicates, seed=args.seed, strategy=args.strategy
-    )
+    if args.n < 1:
+        raise ValueError(f"need n >= 1, got {args.n}")
+    if args.replicates < 1:
+        raise ValueError(f"need replicates >= 1, got {args.replicates}")
     sample = sample_height if args.what == "heights" else sample_shape
     lines = ["replicate,height" if args.what == "heights" else "replicate,shape"]
-    for r in range(config.replicates):
-        seed_r = replicate_seed(config.seed, r)
-        lines.append(f"{r},{sample(kernel, config.n, seed_r, config.strategy)}")
+    for r in range(args.replicates):
+        lines.append(f"{r},{sample(kernel, args.n, replicate_seed(args.seed, r))}")
     manifest = RunManifest(
         subcommand="sample",
         kernel=render_kernel_spec(kernel),
-        n=config.n,
-        seed=config.seed,
-        replicates=config.replicates,
-        strategy=config.strategy,
+        n=args.n,
+        seed=args.seed,
+        replicates=args.replicates,
         what=args.what,
         out=args.out,
     )
@@ -260,11 +258,10 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     if (args.n is None) == (args.grid is None):
         raise ValueError("pick exactly one of --n, --grid")
     grid = (args.n,) if args.n is not None else parse_grid(args.grid)
+    estimates = mc_expected_height_grid(kernel, grid, args.replicates, args.seed)
     lines = ["n,mc_EH,mc_stderr"]
     for n in grid:
-        mean, stderr = mc_expected_height(
-            kernel, n, args.replicates, seed=replicate_seed(args.seed, n), strategy=args.strategy
-        )
+        mean, stderr = estimates[n]
         lines.append(f"{n},{_fmt(mean)},{_fmt(stderr)}")
     manifest = RunManifest(
         subcommand="mc",
@@ -273,7 +270,6 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         grid=None if args.n is not None else grid,
         seed=args.seed,
         replicates=args.replicates,
-        strategy=args.strategy,
         out=args.out,
     )
     _emit("\n".join(lines), manifest)
@@ -368,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--replicates", type=int, default=10_000)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--strategy", choices=("auto", "cdf", "specialized"), default="auto")
     sub.add_argument("--what", choices=("heights", "trees"), default="heights")
     common(sub)
     sub.set_defaults(func=_cmd_sample)
@@ -388,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--grid")
     sub.add_argument("--replicates", type=int, default=10_000)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--strategy", choices=("auto", "cdf", "specialized"), default="auto")
     common(sub)
     sub.set_defaults(func=_cmd_mc)
 

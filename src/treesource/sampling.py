@@ -9,26 +9,30 @@ any size cannot overflow the interpreter stack.  Monte Carlo grows many
 trees at once instead, one tree level at a time, with one vectorized draw
 per level for every pending block of every replicate.
 
+How a left share is drawn follows from the kernel alone: bst draws a
+uniform integer, binomial a binomial variate, and every other kernel
+(tables included, whatever their fallback) inverts the split row's CDF.
+
 Reproducibility contract, for a fixed build of this package (bit-identical
 output across numpy versions is not promised):
 
 * sample_shape, sample_tree and sample_height are pure functions of
-  (kernel, size, seed, strategy) and read one traversal, so they agree for
-  equal seeds.  The sample subcommand draws replicate r from
+  (kernel, size, seed) and read one traversal, so they agree for equal
+  seeds.  The sample subcommand draws replicate r from
   replicate_seed(seed, r) and is bit-stable per seed.
 * mc_heights and mc_expected_height are pure functions of (kernel, n,
-  replicates, seed, strategy).  Replicates are grown in blocks of
-  MC_BLOCK, block b from its own generator seeded with
-  replicate_seed(seed, b), so adding replicates leaves every full block
-  unchanged.  Their heights follow the law of sample_height but are not
-  the heights sample_height draws at any replicate seed.
+  replicates, seed).  Replicates are grown in blocks of MC_BLOCK, block b
+  from its own generator seeded with replicate_seed(seed, b), so adding
+  replicates leaves every full block unchanged.  Their heights follow the
+  law of sample_height but are not the heights sample_height draws at any
+  replicate seed.  mc_expected_height_grid gives at each size n exactly
+  mc_expected_height(kernel, n, replicates, replicate_seed(seed, n)).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -37,7 +41,6 @@ from .trees import LEAF, BinaryTree, node, tree_from_shape_bits
 
 __all__ = [
     "MC_BLOCK",
-    "SampleConfig",
     "mix64",
     "replicate_seed",
     "sample_shape",
@@ -46,9 +49,8 @@ __all__ = [
     "sample_uniform_remy",
     "mc_heights",
     "mc_expected_height",
+    "mc_expected_height_grid",
 ]
-
-_STRATEGIES = ("auto", "cdf", "specialized")
 
 # Replicates grown together by mc_heights.  It fixes which generator draws
 # each replicate, so changing it changes every Monte Carlo value.  A level's
@@ -73,52 +75,17 @@ def replicate_seed(master_seed: int, replicate: int) -> int:
     return mix64(master_seed + (replicate + 1) * _GOLDEN64)
 
 
-@dataclass(frozen=True)
-class SampleConfig:
-    """One Monte Carlo run: size, replicate count, master seed, split strategy."""
-
-    n: int
-    replicates: int = 10_000
-    seed: int = 0
-    strategy: str = "auto"
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"need n >= 1, got {self.n}")
-        if self.replicates < 1:
-            raise ValueError(f"need replicates >= 1, got {self.replicates}")
-        if self.strategy not in _STRATEGIES:
-            raise ValueError(f"strategy must be one of {_STRATEGIES}, got {self.strategy!r}")
-
-
 def _rng(seed: "int | np.random.Generator") -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
 
 
-def _draw_method(kernel: SplitKernel, strategy: str) -> str:
-    """How left shares are drawn: "bst", "binomial" or the generic "cdf"."""
-    if strategy not in _STRATEGIES:
-        raise ValueError(f"strategy must be one of {_STRATEGIES}, got {strategy!r}")
-    if strategy != "cdf":
-        if isinstance(kernel, BstKernel):
-            return "bst"
-        if isinstance(kernel, BinomialKernel):
-            return "binomial"
-        if strategy == "specialized":
-            raise ValueError(f"no specialized sampler for kernel kind {kernel.kind!r}")
-    return "cdf"
-
-
-def _split_drawer(
-    kernel: SplitKernel, rng: np.random.Generator, strategy: str
-) -> Callable[[int], int]:
-    """Pick the draw function k = draw(m) for the left share at block size m."""
-    method = _draw_method(kernel, strategy)
-    if method == "bst":
+def _split_drawer(kernel: SplitKernel, rng: np.random.Generator) -> Callable[[int], int]:
+    """The draw function k = draw(m) for the left share at block size m."""
+    if isinstance(kernel, BstKernel):
         return lambda m: int(rng.integers(1, m))
-    if method == "binomial":
+    if isinstance(kernel, BinomialKernel):
         p = kernel.p
         return lambda m: 1 + int(rng.binomial(m - 2, p))
 
@@ -130,13 +97,11 @@ def _split_drawer(
     return draw
 
 
-def _preorder(
-    kernel: SplitKernel, n: int, seed: "int | np.random.Generator", strategy: str
-) -> tuple[str, int]:
+def _preorder(kernel: SplitKernel, n: int, seed: "int | np.random.Generator") -> tuple[str, int]:
     """Pre-order shape bits and height of one tree, drawing one split per inner node."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    draw = _split_drawer(kernel, _rng(seed), strategy)
+    draw = _split_drawer(kernel, _rng(seed))
     bits = []
     height = 0
     stack = [(n, 0)]
@@ -155,25 +120,19 @@ def _preorder(
     return "".join(bits), height
 
 
-def sample_shape(
-    kernel: SplitKernel, n: int, seed: "int | np.random.Generator", strategy: str = "auto"
-) -> str:
+def sample_shape(kernel: SplitKernel, n: int, seed: "int | np.random.Generator") -> str:
     """Pre-order shape bits of sample_tree(kernel, n, seed) ('1' inner, '0' leaf)."""
-    return _preorder(kernel, n, seed, strategy)[0]
+    return _preorder(kernel, n, seed)[0]
 
 
-def sample_tree(
-    kernel: SplitKernel, n: int, seed: "int | np.random.Generator", strategy: str = "auto"
-) -> BinaryTree:
+def sample_tree(kernel: SplitKernel, n: int, seed: "int | np.random.Generator") -> BinaryTree:
     """Draw one size-n tree from the kernel's distribution."""
-    return tree_from_shape_bits(sample_shape(kernel, n, seed, strategy))
+    return tree_from_shape_bits(sample_shape(kernel, n, seed))
 
 
-def sample_height(
-    kernel: SplitKernel, n: int, seed: "int | np.random.Generator", strategy: str = "auto"
-) -> int:
+def sample_height(kernel: SplitKernel, n: int, seed: "int | np.random.Generator") -> int:
     """Height of sample_tree(kernel, n, seed) without materializing the tree."""
-    return _preorder(kernel, n, seed, strategy)[1]
+    return _preorder(kernel, n, seed)[1]
 
 
 def sample_uniform_remy(n: int, seed: "int | np.random.Generator") -> BinaryTree:
@@ -289,13 +248,12 @@ class _CdfTable:
 
 
 def _level_drawer(
-    kernel: SplitKernel, n: int, strategy: str
+    kernel: SplitKernel, n: int
 ) -> Callable[[np.ndarray, np.random.Generator], np.ndarray]:
-    """Vectorized k = draw(m, rng): one left share per entry of the size array m."""
-    method = _draw_method(kernel, strategy)
-    if method == "bst":
+    """Vectorized k = draw(m, rng): one left share per entry of the size array m <= n."""
+    if isinstance(kernel, BstKernel):
         return lambda m, rng: rng.integers(1, m)
-    if method == "binomial":
+    if isinstance(kernel, BinomialKernel):
         p = kernel.p
         return lambda m, rng: 1 + rng.binomial(m - 2, p)
     table = _CdfTable(kernel, min(n, PMF_CACHE_LIMIT))
@@ -326,9 +284,28 @@ def _block_heights(
     return heights
 
 
-def mc_heights(
-    kernel: SplitKernel, n: int, replicates: int, seed: int = 0, strategy: str = "auto"
+def _seeded_heights(
+    draw: Callable[[np.ndarray, np.random.Generator], np.ndarray],
+    n: int,
+    replicates: int,
+    seed: int,
 ) -> np.ndarray:
+    """Heights of the replicates, block b grown from default_rng(replicate_seed(seed, b))."""
+    heights = np.empty(replicates, dtype=np.int64)
+    for b, lo in enumerate(range(0, replicates, MC_BLOCK)):
+        hi = min(lo + MC_BLOCK, replicates)
+        rng = np.random.default_rng(replicate_seed(seed, b))
+        heights[lo:hi] = _block_heights(draw, n, hi - lo, rng)
+    return heights
+
+
+def _mean_stderr(heights: np.ndarray) -> tuple[float, float]:
+    mean = float(heights.mean())
+    stderr = float(heights.std(ddof=1) / np.sqrt(heights.size))
+    return mean, stderr
+
+
+def mc_heights(kernel: SplitKernel, n: int, replicates: int, seed: int = 0) -> np.ndarray:
     """Heights of `replicates` independent trees of size n, seeded by blocks.
 
     Replicates are grown MC_BLOCK at a time; block b draws from
@@ -338,26 +315,35 @@ def mc_heights(
         raise ValueError(f"need n >= 1, got {n}")
     if replicates < 1:
         raise ValueError(f"need replicates >= 1, got {replicates}")
-    draw = _level_drawer(kernel, n, strategy)
-    heights = np.empty(replicates, dtype=np.int64)
-    for b, lo in enumerate(range(0, replicates, MC_BLOCK)):
-        hi = min(lo + MC_BLOCK, replicates)
-        rng = np.random.default_rng(replicate_seed(seed, b))
-        heights[lo:hi] = _block_heights(draw, n, hi - lo, rng)
-    return heights
+    return _seeded_heights(_level_drawer(kernel, n), n, replicates, seed)
 
 
 def mc_expected_height(
-    kernel: SplitKernel,
-    n: int,
-    replicates: int,
-    seed: int = 0,
-    strategy: str = "auto",
+    kernel: SplitKernel, n: int, replicates: int, seed: int = 0
 ) -> tuple[float, float]:
     """Monte Carlo mean and standard error of the height at size n, from mc_heights."""
     if replicates < 2:
         raise ValueError(f"need replicates >= 2 for a standard error, got {replicates}")
-    heights = mc_heights(kernel, n, replicates, seed, strategy)
-    mean = float(heights.mean())
-    stderr = float(heights.std(ddof=1) / np.sqrt(replicates))
-    return mean, stderr
+    return _mean_stderr(mc_heights(kernel, n, replicates, seed))
+
+
+def mc_expected_height_grid(
+    kernel: SplitKernel, grid: Iterable[int], replicates: int, seed: int = 0
+) -> dict[int, tuple[float, float]]:
+    """Monte Carlo mean and standard error at each size of the grid.
+
+    Size n gets mc_expected_height(kernel, n, replicates,
+    replicate_seed(seed, n)), bit for bit.  One draw function, built for
+    the largest size, serves every size, so an inverse-CDF kernel builds
+    its table of cumulative rows once per grid rather than once per size.
+    """
+    sizes = sorted(set(grid))
+    if replicates < 2:
+        raise ValueError(f"need replicates >= 2 for a standard error, got {replicates}")
+    if sizes and sizes[0] < 1:
+        raise ValueError(f"need n >= 1, got {sizes[0]}")
+    draw = _level_drawer(kernel, max(sizes, default=1))
+    return {
+        n: _mean_stderr(_seeded_heights(draw, n, replicates, replicate_seed(seed, n)))
+        for n in sizes
+    }

@@ -378,6 +378,22 @@ class TestVerifyCertificates:
         after = (set(table._rows), set(table.fallback._rows), set(table.fallback._cdfs))
         assert after == before
 
+    def test_table_profile_needs_only_the_grid_sizes(self):
+        # sizes off the grid get moment base 1, so the profile is asked only
+        # at grid sizes, and the grid rows are those of a profile for all sizes
+        grid = [3, 10, 40, 41, 90]
+
+        def phi(m):
+            return min(1.0, 0.9 / math.sqrt(m))
+
+        def rows(sizes):
+            params = WeaklyBalancedParams(
+                PhiFunction.from_table({m: phi(m) for m in sizes}), gamma=0.25, n_min=2
+            )
+            return verify_certificates(BstKernel(), params, grid, mc_replicates=40).rows
+
+        assert rows(grid) == rows(range(1, grid[-1] + 1))
+
     @pytest.mark.parametrize("name", ["bin-upper", "bin-wbal"])
     def test_membership_matches_pointwise_diagnostics(self, name):
         preset = make_preset(name, p=0.3)

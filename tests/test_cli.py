@@ -194,15 +194,19 @@ class TestSample:
         ],
         ids=lambda k: k.kind,
     )
-    @pytest.mark.parametrize("strategy", ["auto", "cdf"])
-    def test_tree_shapes_match_sample_tree(self, capsys, kernel, strategy):
+    @pytest.mark.parametrize("path", ["auto", "cdf"])
+    def test_tree_shapes_match_sample_tree(self, capsys, kernel, path):
+        # "cdf": a table listing only row 2 = [1.0] has the same law as its
+        # fallback and draws every share by inverse CDF
+        if path == "cdf" and not isinstance(kernel, TableKernel):
+            kernel = TableKernel({2: [1.0]}, kernel)
         code, out, _ = run_cli(
             capsys, "sample", "--kernel-json", render_kernel_spec(kernel), "--n", "40",
-            "--replicates", "6", "--what", "trees", "--seed", "11", "--strategy", strategy,
+            "--replicates", "6", "--what", "trees", "--seed", "11",
         )
         assert code == 0
         for r, line in enumerate(out.strip().split("\n")[1:]):
-            tree = sample_tree(kernel, 40, replicate_seed(11, r), strategy)
+            tree = sample_tree(kernel, 40, replicate_seed(11, r))
             assert line == f"{r},{shape_bits(tree)}"
 
     def test_seed_changes_stream(self, capsys):
@@ -217,6 +221,34 @@ class TestSample:
             capsys, "sample", "--kernel", "bst", "--n", "0", "--replicates", "5"
         )
         assert code == 1
+
+    def test_rejects_zero_replicates(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sample", "--kernel", "bst", "--n", "5", "--replicates", "0"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "treesource: error: need replicates >= 1, got 0\n"
+
+    @pytest.mark.parametrize("sub", ["sample", "mc"])
+    def test_strategy_is_not_an_option(self, capsys, sub):
+        with pytest.raises(SystemExit) as exc:
+            main([sub, "--kernel", "bst", "--n", "5", "--strategy", "cdf"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --strategy cdf" in capsys.readouterr().err
+
+    def test_manifest(self, capsys, tmp_path):
+        out_path = tmp_path / "heights.csv"
+        code, _, _ = run_cli(
+            capsys, "sample", "--kernel", "uniform", "--n", "9", "--replicates", "3",
+            "--seed", "4", "--out", str(out_path),
+        )
+        assert code == 0
+        manifest = json.loads((tmp_path / "heights.csv.manifest.json").read_text())
+        assert manifest == {
+            "subcommand": "sample", "kernel": '{"kind": "uniform"}', "n": 9, "seed": 4,
+            "replicates": 3, "what": "heights", "out": str(out_path),
+        }
 
 
 class TestMonteCarlo:

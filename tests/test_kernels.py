@@ -261,6 +261,14 @@ class TestPascalSteps:
         assert steps[0] == 0
         assert kernel._rows == {}
 
+    def test_sigma_builds_no_row_below_the_cache(self, steps):
+        kernel = BinomialKernel(0.3)
+        assert 4000 <= kernels.PMF_CACHE_LIMIT
+        want = float(kernel.sigma_exact(1000, 3000))
+        assert kernel.sigma(1000, 3000) == pytest.approx(want, rel=1e-12)
+        assert steps[0] == 0
+        assert kernel._rows == {}
+
     def test_shared_between_threads(self, monkeypatch):
         # the cache is shared; every row handed out must still be the walk's
         # row of the size asked for
@@ -333,10 +341,10 @@ def test_binomial_rows_match_exact(n, p):
 
 
 @pytest.mark.parametrize("p", [0.03, 0.3, 0.5, 0.97])
-@pytest.mark.parametrize("n", [17, 100, 2000, 8182, 20_000])
-def test_binomial_sigma_above_the_cache_matches_exact(n, p, monkeypatch):
-    # sigma above the limit is evaluated directly, not read from a row
-    monkeypatch.setattr(kernels, "PMF_CACHE_LIMIT", 16)
+@pytest.mark.parametrize("n", [3, 4, 5, 10, 17, 100, 2000, 8182, 20_000])
+def test_binomial_sigma_above_the_cache_matches_exact(n, p):
+    # sigma is evaluated directly at every size, below PMF_CACHE_LIMIT as
+    # well as above it, and never reads or builds a row
     kernel = BinomialKernel(p)
     mode = round(p * (n - 2))
     ks = set(range(max(0, mode - 30), min(n - 1, mode + 31)))

@@ -18,11 +18,11 @@ from treesource.kernels import (
 )
 from treesource.sampling import (
     MC_BLOCK,
-    SampleConfig,
     _block_heights,
     _CdfTable,
     _level_drawer,
     mc_expected_height,
+    mc_expected_height_grid,
     mc_heights,
     mix64,
     replicate_seed,
@@ -33,6 +33,18 @@ from treesource.sampling import (
 from treesource.trees import LEAF, count_trees, enumerate_trees, node, shape_bits
 
 CHI2_ALPHA = 1e-4  # deterministic seeds; a failure means a real defect
+
+
+def on_path(kernel, path):
+    """The kernel itself ("auto"), or a kernel of the same law drawn by inverse CDF ("cdf").
+
+    Every kernel's row 2 is [1.0], so listing it makes a table with the
+    fallback's rows at every size, and tables draw every share through
+    split_cdf.  A table already draws that way and is returned as is.
+    """
+    if path == "auto" or isinstance(kernel, TableKernel):
+        return kernel
+    return TableKernel({2: [1.0]}, kernel)
 
 
 def shape_counts(draw, replicates, seed):
@@ -76,26 +88,6 @@ class TestSeedDerivation:
         assert replicate_seed(0, 0) != replicate_seed(1, 0)
 
 
-class TestSampleConfig:
-    def test_defaults(self):
-        cfg = SampleConfig(n=10)
-        assert cfg.replicates == 10_000
-        assert cfg.seed == 0
-        assert cfg.strategy == "auto"
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"n": 0},
-            {"n": 5, "replicates": 0},
-            {"n": 5, "strategy": "magic"},
-        ],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            SampleConfig(**kwargs)
-
-
 class TestSampleTree:
     def test_trivial_sizes(self):
         assert sample_tree(BstKernel(), 1, 0) is LEAF
@@ -126,15 +118,12 @@ class TestSampleTree:
         assert a.size == b.size == 30
         assert shape_bits(a) != shape_bits(b)
 
-    def test_strategy_specialized_needs_support(self):
-        with pytest.raises(ValueError, match="specialized"):
-            sample_tree(UniformKernel(), 5, 0, strategy="specialized")
-        with pytest.raises(ValueError, match="specialized"):
-            sample_tree(TableKernel({3: [0.5, 0.5]}, BstKernel()), 5, 0, strategy="specialized")
-
     def test_strategy_validation(self):
-        with pytest.raises(ValueError):
-            sample_tree(BstKernel(), 5, 0, strategy="fast")
+        # the draw method follows from the kernel; there is no knob to pass
+        with pytest.raises(TypeError):
+            sample_tree(BstKernel(), 5, 0, strategy="cdf")
+        with pytest.raises(TypeError):
+            sample_height(BstKernel(), 5, 0, strategy="cdf")
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -147,11 +136,12 @@ class TestSampleHeight:
         [BstKernel(), UniformKernel(), BinomialKernel(0.3)],
         ids=lambda k: k.describe(),
     )
-    @pytest.mark.parametrize("strategy", ["auto", "cdf"])
-    def test_agrees_with_sampled_tree(self, kernel, strategy):
+    @pytest.mark.parametrize("path", ["auto", "cdf"])
+    def test_agrees_with_sampled_tree(self, kernel, path):
+        kernel = on_path(kernel, path)
         for seed in range(12):
-            t = sample_tree(kernel, 37, seed, strategy)
-            h = sample_height(kernel, 37, seed, strategy)
+            t = sample_tree(kernel, 37, seed)
+            h = sample_height(kernel, 37, seed)
             assert h == t.height
 
     def test_bounds(self):
@@ -170,20 +160,16 @@ class TestDistributions:
         assert_matches_distribution(k, 5, lambda rng: sample_tree(k, 5, rng))
 
     def test_bst_cdf_strategy(self):
-        k = BstKernel()
-        assert_matches_distribution(
-            k, 5, lambda rng: sample_tree(k, 5, rng, strategy="cdf")
-        )
+        k = on_path(BstKernel(), "cdf")
+        assert_matches_distribution(k, 5, lambda rng: sample_tree(k, 5, rng))
 
     def test_binomial_specialized(self):
         k = BinomialKernel(0.3)
         assert_matches_distribution(k, 5, lambda rng: sample_tree(k, 5, rng))
 
     def test_binomial_cdf_strategy(self):
-        k = BinomialKernel(0.3)
-        assert_matches_distribution(
-            k, 5, lambda rng: sample_tree(k, 5, rng, strategy="cdf")
-        )
+        k = on_path(BinomialKernel(0.3), "cdf")
+        assert_matches_distribution(k, 5, lambda rng: sample_tree(k, 5, rng))
 
     def test_uniform_kernel_sampler(self):
         k = UniformKernel()
@@ -253,7 +239,7 @@ class TestMonteCarlo:
         kernel = BstKernel()
         heights = mc_heights(kernel, 40, 2 * MC_BLOCK, seed=9)
         rng = np.random.default_rng(replicate_seed(9, 1))
-        block = _block_heights(_level_drawer(kernel, 40, "auto"), 40, MC_BLOCK, rng)
+        block = _block_heights(_level_drawer(kernel, 40), 40, MC_BLOCK, rng)
         assert np.array_equal(heights[MC_BLOCK:], block)
 
     def test_mean_and_stderr_of_heights(self):
@@ -264,16 +250,17 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("kernel", [BstKernel(), UniformKernel(), BinomialKernel(0.3)],
                              ids=lambda k: k.describe())
-    @pytest.mark.parametrize("strategy", ["auto", "cdf"])
-    def test_one_and_two_leaves(self, kernel, strategy):
-        assert mc_expected_height(kernel, 1, 30, strategy=strategy) == (0.0, 0.0)
-        assert mc_expected_height(kernel, 2, 30, strategy=strategy) == (1.0, 0.0)
+    @pytest.mark.parametrize("path", ["auto", "cdf"])
+    def test_one_and_two_leaves(self, kernel, path):
+        kernel = on_path(kernel, path)
+        assert mc_expected_height(kernel, 1, 30) == (0.0, 0.0)
+        assert mc_expected_height(kernel, 2, 30) == (1.0, 0.0)
 
     def test_strategy_checked_like_sample_tree(self):
-        with pytest.raises(ValueError, match="specialized"):
-            mc_expected_height(UniformKernel(), 5, 10, strategy="specialized")
-        with pytest.raises(ValueError):
-            mc_expected_height(BstKernel(), 5, 10, strategy="fast")
+        with pytest.raises(TypeError):
+            mc_expected_height(BstKernel(), 5, 10, strategy="cdf")
+        with pytest.raises(TypeError):
+            mc_heights(BstKernel(), 5, 10, strategy="cdf")
 
     def test_seed_matters(self):
         a = mc_expected_height(BstKernel(), 12, replicates=300, seed=0)
@@ -343,7 +330,8 @@ class TestVectorizedDraws:
         n = 200
         sizes = np.concatenate(([4, 6, 7, 2, 3, 6, n] * 12, rng.integers(2, n + 1, size=2000)))
         u = edge_uniforms(kernel, sizes, rng)
-        draw = _level_drawer(kernel, n, "cdf")
+        kernel = on_path(kernel, "cdf")
+        draw = _level_drawer(kernel, n)
         assert np.array_equal(draw(sizes, _FixedUniforms(u)), scalar_draws(kernel, sizes, u))
 
     @pytest.mark.parametrize("kernel", [UniformKernel(), TIED_TABLE], ids=lambda k: k.describe())
@@ -362,7 +350,7 @@ class TestVectorizedDraws:
         "make",
         [
             UniformKernel,
-            lambda: BinomialKernel(0.3),
+            lambda: on_path(BinomialKernel(0.3), "cdf"),
             lambda: TableKernel({5: [0.1, 0.8, 0.1, 0.0]}, BinomialKernel(0.3)),
         ],
         ids=["uniform", "binomial", "table"],
@@ -376,7 +364,7 @@ class TestVectorizedDraws:
         if isinstance(kernel, TableKernel):
             caches.append(kernel.fallback._rows)
         before = [len(c) for c in caches]
-        mc_expected_height(kernel, 300, 100, seed=3, strategy="cdf")
+        mc_expected_height(kernel, 300, 100, seed=3)
         assert [len(c) for c in caches] == before
 
     def test_large_binomial_rows_take_one_walk_per_level(self, monkeypatch):
@@ -398,6 +386,47 @@ class TestVectorizedDraws:
         got = table.draw(sizes, u)
         assert steps[0] == 38 + 298
         assert np.array_equal(got, scalar_draws(kernel, sizes, u))
+
+    @pytest.mark.parametrize(
+        "kernel, grid",
+        [
+            (BstKernel(), (1, 2, 3, 17, 90)),
+            (BinomialKernel(0.3), (2, 5, 64)),
+            (UniformKernel(), (2, 3, 40, 41, 150)),
+            (TableKernel({5: [0.1, 0.8, 0.1, 0.0]}, BinomialKernel(0.3)), (4, 30, 45, 46, 120)),
+        ],
+        ids=["bst", "binomial", "uniform", "table"],
+    )
+    @pytest.mark.parametrize("limit", [PMF_CACHE_LIMIT, 40])
+    def test_grid_matches_one_size_at_a_time(self, kernel, grid, limit, monkeypatch):
+        # with the small limit the grid straddles the flat table's last row
+        monkeypatch.setattr(kernels, "PMF_CACHE_LIMIT", limit)
+        monkeypatch.setattr(sampling, "PMF_CACHE_LIMIT", limit)
+        got = mc_expected_height_grid(kernel, grid[::-1] + grid[:1], 300, seed=8)
+        assert list(got) == list(grid)
+        for n in grid:
+            assert got[n] == mc_expected_height(kernel, n, 300, seed=replicate_seed(8, n))
+
+    def test_grid_builds_one_table(self, monkeypatch):
+        built = []
+
+        class CountingTable(_CdfTable):
+            def __init__(self, kernel, limit):
+                built.append(limit)
+                super().__init__(kernel, limit)
+
+        monkeypatch.setattr(sampling, "_CdfTable", CountingTable)
+        mc_expected_height_grid(UniformKernel(), range(2, 240, 7), 50, seed=1)
+        assert built == [233]
+        mc_expected_height_grid(BstKernel(), range(2, 240, 7), 50, seed=1)
+        assert built == [233]
+
+    def test_grid_checks_like_one_size(self):
+        with pytest.raises(ValueError, match="replicates >= 2"):
+            mc_expected_height_grid(BstKernel(), [5], 1)
+        with pytest.raises(ValueError, match="n >= 1"):
+            mc_expected_height_grid(BstKernel(), [0, 5], 10)
+        assert mc_expected_height_grid(UniformKernel(), [], 10) == {}
 
     def test_empty_level(self):
         table = _CdfTable(UniformKernel(), 10)
@@ -434,12 +463,12 @@ class TestHeightLaw:
         ],
         ids=lambda k: k.describe(),
     )
-    @pytest.mark.parametrize("strategy", ["auto", "cdf"])
-    def test_histogram_matches_height_cdf(self, kernel, strategy):
+    @pytest.mark.parametrize("path", ["auto", "cdf"])
+    def test_histogram_matches_height_cdf(self, kernel, path):
         n, replicates = 12, 20_000
         cdf = height_cdf(kernel, n, tail_tol=0.0).values
         law = np.diff(np.concatenate(([0.0], cdf)))
-        heights = mc_heights(kernel, n, replicates, seed=2024, strategy=strategy)
+        heights = mc_heights(on_path(kernel, path), n, replicates, seed=2024)
         observed = np.bincount(heights, minlength=law.size).astype(float)
         assert observed.size == law.size  # no height beyond the exact support
         assert pooled_chisquare_pvalue(observed, law * replicates) > HEIGHT_LAW_ALPHA
