@@ -501,19 +501,16 @@ def verify_certificates(
 
     For each requested size: membership (where required, n >= n_min),
     the moment inequality, and the height inequality, each allowed PASS_TOL
-    slack on its comparison scale.  All exact quantities for the whole grid
-    come from one scan at the largest size, membership rows from one
+    slack on its comparison scale.  All exact quantities come from one scan
+    that accumulates at the grid sizes only, membership rows from one
     ascending walk over the required sizes, which caches no row, and the
     Monte Carlo columns (sizes n >= 2) from one mc_expected_height_grid.
     """
     sizes = sorted(set(int(n) for n in ns))
     if not sizes or sizes[0] < 1:
         raise ValueError("size grid must be nonempty with all sizes >= 1")
-    n_max = sizes[-1]
-    # sizes off the grid keep base 1; no row reads their moments
-    bases = np.ones(n_max + 1)
-    bases[sizes] = [params.moment_base(m) for m in sizes]
-    exact, moment_log_nat, _ = _grid_scan(kernel, n_max, tail_tol, mem_budget, bases)
+    bases = [params.moment_base(m) for m in sizes]
+    exact, moment_log_nat, _, _ = _grid_scan(kernel, sizes, tail_tol, mem_budget, bases)
     required = [n for n in sizes if n >= max(2, params.n_min)]
     walk = zip(required, kernel._ascending_rows(required))
     member = {n: params.admits(n, row) for n, row in walk}
@@ -521,16 +518,15 @@ def verify_certificates(
     mc = mc_expected_height_grid(kernel, mc_sizes, mc_replicates, seed) if mc_sizes else {}
 
     rows = []
-    for n in sizes:
+    for n, eh, log_nat in zip(sizes, exact.tolist(), moment_log_nat.tolist()):
         cert = params.certificate(n)
-        log_nat = float(moment_log_nat[n])
         mlog = log_nat / params.ln_base
         moment = math.exp(log_nat) if log_nat < _MAX_EXP else math.inf
         mc_eh, mc_stderr = mc.get(n, (None, None))
         rows.append(
             BoundRow(
                 n=n,
-                exact_eh=float(exact[n]),
+                exact_eh=eh,
                 mc_eh=mc_eh,
                 mc_stderr=mc_stderr,
                 moment=moment,
@@ -540,7 +536,7 @@ def verify_certificates(
                 membership_required=n in member,
                 membership_ok=member.get(n, True),
                 moment_ok=bool(mlog <= cert.moment_bound_log + PASS_TOL),
-                height_ok=bool(exact[n] <= cert.height_bound + PASS_TOL),
+                height_ok=bool(eh <= cert.height_bound + PASS_TOL),
             )
         )
     return BoundReport(

@@ -16,8 +16,10 @@ height is a plain sum of them, and exponential moments become
 E(b^H) = 1 + (b-1) * sum_h b^h S_h, so deep tails are never formed by
 subtracting nearly equal doubles and then amplified by b^h.
 
-Moment accumulation runs in log space throughout; values that would overflow
-a double are still returned as finite logs.
+One pass answers exactly the sizes asked: every exact entry point scans to
+the largest of them, accumulates E(H_m) and the moments at those sizes only,
+and ends once each has met its stop rule.  Moments are accumulated in log
+space, so values that would overflow a double are still finite logs.
 
 A scan is sequential in h by data dependence.  Scans for different kernels
 or sizes are independent and may run in parallel; results are immutable.
@@ -157,8 +159,8 @@ class HeightCdf:
         return float(self.survivals[-1])
 
     def expected_height(self) -> float:
-        """Sum of survivals up to the truncation point."""
-        return float(self.survivals.sum())
+        """Sum of survivals up to the truncation point, added in scan order."""
+        return float(np.cumsum(self.survivals)[-1])
 
     def truncation_error(self) -> float:
         """Upper bound on the expected-height mass beyond h_cut."""
@@ -176,15 +178,7 @@ def height_cdf(
     Stops at the first h with survival <= tail_tol; tail_tol = 0 runs the
     recurrence until the survival is exactly zero (h = n-1 at the latest).
     """
-    if tail_tol < 0:
-        raise ValueError(f"tail_tol must be >= 0, got {tail_tol}")
-    surv = []
-    for h, S in survival_layers(kernel, n, mem_budget):
-        s = float(S[n])
-        surv.append(s)
-        if s <= tail_tol:
-            break
-    survivals = np.array(surv)
+    survivals = _grid_scan(kernel, [n], tail_tol, mem_budget)[3]
     values = 1.0 - survivals
     survivals.setflags(write=False)
     values.setflags(write=False)
@@ -198,7 +192,7 @@ def expected_height(
     mem_budget: int = DEFAULT_MEM_BUDGET,
 ) -> float:
     """E(H_n) as the truncated sum of survivals."""
-    return height_cdf(kernel, n, tail_tol, mem_budget).expected_height()
+    return float(_grid_scan(kernel, [n], tail_tol, mem_budget)[0][0])
 
 
 def expected_height_grid(
@@ -213,7 +207,7 @@ def expected_height_grid(
     agrees with expected_height(kernel, m, tail_tol) up to the rounding
     difference between a size-m scan and this shared size-n_max scan.
     """
-    return _grid_scan(kernel, n_max, tail_tol, mem_budget)[0]
+    return _grid_scan(kernel, range(n_max + 1), tail_tol, mem_budget)[0]
 
 
 @dataclass(frozen=True)
@@ -253,27 +247,30 @@ def exp_moment_grid(
     tail, bounded by bases[m]^(m-1) * S_h[m], is at most tail_tol times
     the moment accumulated so far.
     """
-    return _grid_scan(kernel, n_max, tail_tol, mem_budget, bases)[1:]
+    return _grid_scan(kernel, range(n_max + 1), tail_tol, mem_budget, bases)[1:3]
 
 
 def _grid_scan(
     kernel: SplitKernel,
-    n_max: int,
+    sizes: Sequence[int],
     tail_tol: float,
     mem_budget: int,
     bases: "float | Sequence[float] | np.ndarray | None" = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(E(H_m), log E(bases[m]^H_m), moment stop layers) for m = 0..n_max.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(E(H_m), log E(b_m^H_m), moment stop layers, survival column) per asked size.
 
-    One scan feeds both accumulators; each retires sizes by the rule its
-    public function documents, and the scan ends once neither has a size
-    left.  With bases None no moment is accumulated (its entries are 0).
+    sizes is increasing; bases is a scalar or one base per asked size,
+    ignored for sizes 0 and 1, whose moments are 1, as are all moments with
+    bases None.  Each accumulator retires a size by the rule its public
+    function documents, and the scan ends once no asked size is left.  The
+    column holds S_h[largest size] for the layers its E(H) summed.
     """
-    if tail_tol < 0:
-        raise ValueError(f"tail_tol must be >= 0, got {tail_tol}")
-    b = np.broadcast_to(np.asarray(1.0 if bases is None else bases, dtype=float), (n_max + 1,))
+    if not 0 <= tail_tol < 1:
+        raise ValueError(f"tail_tol must lie in [0, 1), got {tail_tol}")
+    idx = np.asarray(sizes, dtype=int)
+    b = np.broadcast_to(np.asarray(1.0 if bases is None else bases, dtype=float), idx.shape)
     b = b.copy()
-    b[:2] = 1.0
+    b[idx < 2] = 1.0
     if np.any(b < 1.0) or not np.all(np.isfinite(b)):
         raise ValueError("moment bases must be finite and >= 1")
     lb = np.log(b)
@@ -281,25 +278,29 @@ def _grid_scan(
         lbm1 = np.log(b - 1.0)
     log_tol = math.log(tail_tol) if tail_tol > 0 else -math.inf
 
-    sizes = np.arange(n_max + 1)
-    E = np.zeros(n_max + 1)
-    acc = np.full(n_max + 1, -np.inf)  # log sum of b^h * S_h
-    stop = np.zeros(n_max + 1, dtype=int)
-    e_active = sizes >= 2
-    m_active = e_active & (bases is not None)
-    for h, S in survival_layers(kernel, n_max, mem_budget):
-        E[e_active] += S[e_active]
-        e_active &= S > tail_tol
-        with np.errstate(divide="ignore"):
-            lnS = np.log(S)
-        acc[m_active] = np.logaddexp(acc[m_active], h * lb[m_active] + lnS[m_active])
-        log_moment = np.logaddexp(0.0, lbm1 + acc)
-        done = m_active & ((sizes - 1) * lb + lnS <= log_tol + log_moment)
-        stop[done] = h
-        m_active &= ~done
-        if not (e_active.any() or m_active.any()):
+    E = np.zeros(idx.size)
+    acc = np.full(idx.size, -np.inf)  # log sum of b^h * S_h
+    stop = np.zeros(idx.size, dtype=int)
+    # positions still accumulating; sizes 0 and 1 add S_0 = 0 and retire
+    e_live = np.arange(idx.size)
+    m_live = e_live[idx >= 2] if bases is not None else e_live[:0]
+    column = []
+    for h, S in survival_layers(kernel, max(sizes, default=0), mem_budget):
+        s = S[idx[e_live]]
+        E[e_live] += s
+        column.extend(s[e_live == idx.size - 1])
+        e_live = e_live[s > tail_tol]
+        if m_live.size:
+            with np.errstate(divide="ignore"):
+                lnS = np.log(S[idx[m_live]])
+            acc[m_live] = np.logaddexp(acc[m_live], h * lb[m_live] + lnS)
+            log_moment = np.logaddexp(0.0, lbm1[m_live] + acc[m_live])
+            done = (idx[m_live] - 1) * lb[m_live] + lnS <= log_tol + log_moment
+            stop[m_live[done]] = h
+            m_live = m_live[~done]
+        if not (e_live.size or m_live.size):
             break
-    return E, np.logaddexp(0.0, lbm1 + acc), stop
+    return E, np.logaddexp(0.0, lbm1 + acc), stop, np.array(column)
 
 
 def exp_moment(
@@ -312,9 +313,10 @@ def exp_moment(
     """E(base^H_n) for base > 1, in log form."""
     if not base > 1.0:
         raise ValueError(f"moment base must be > 1, got {base}")
-    logs, stops = exp_moment_grid(kernel, max(n, 1), base, tail_tol, mem_budget)
+    # size 0 has the moment of size 1, and a scan needs a size >= 1
+    _, logs, stops, _ = _grid_scan(kernel, [max(n, 1)], tail_tol, mem_budget, base)
     return ExpMoment(
-        n=n, base=base, log_value=float(logs[n]), h_cut=int(stops[n]), tail_tol=tail_tol
+        n=n, base=base, log_value=float(logs[0]), h_cut=int(stops[0]), tail_tol=tail_tol
     )
 
 

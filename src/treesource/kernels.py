@@ -72,6 +72,7 @@ __all__ = [
 ]
 
 PMF_CACHE_LIMIT = 4096
+UNIFORM_EXACT_LIMIT = 30
 
 CLOSED_FORM_TOL = 1e-12
 TABLE_TOL = 1e-9
@@ -221,16 +222,15 @@ class BstKernel(SplitKernel):
 class UniformKernel(SplitKernel):
     """Catalan-weighted splits; induces the uniform law on tree shapes.
 
-    Rows are exact big-integer ratios up to exact_limit leaves and switch
-    to a cumulative log-count table beyond, which keeps every entry within
-    a few ulp without overflowing.
+    Rows are exact big-integer ratios up to UNIFORM_EXACT_LIMIT leaves and
+    switch to a cumulative log-count table beyond, which keeps every entry
+    within a few ulp without overflowing.
     """
 
     kind = "uniform"
 
-    def __init__(self, exact_limit: int = 30):
+    def __init__(self):
         super().__init__()
-        self.exact_limit = exact_limit
         self._log_counts = np.zeros(2)
         self._log_lock = threading.Lock()
 
@@ -248,7 +248,7 @@ class UniformKernel(SplitKernel):
 
     def sigma(self, i: int, j: int) -> float:
         n = _check_pair(i, j)
-        if n <= self.exact_limit:
+        if n <= UNIFORM_EXACT_LIMIT:
             return float(self.sigma_exact(i, j))
         lt = self._log_count(n)
         return float(math.exp(lt[i] + lt[j] - lt[n]))
@@ -258,7 +258,7 @@ class UniformKernel(SplitKernel):
         return Fraction(count_trees(i) * count_trees(j), count_trees(n))
 
     def _row(self, n: int) -> np.ndarray:
-        if n <= self.exact_limit:
+        if n <= UNIFORM_EXACT_LIMIT:
             tn = count_trees(n)
             return np.array(
                 [Fraction(count_trees(k) * count_trees(n - k), tn) for k in range(1, n)],
@@ -645,8 +645,11 @@ class KernelSpec:
                 raise KernelFormatError("table kernel needs a nonempty 'rows' object")
             rows = {}
             for key, val in raw.items():
-                if not isinstance(key, str) or not key.isdigit():
-                    raise KernelFormatError(f"row key must be a decimal size string, got {key!r}")
+                # one spelling per size, so the rows loaded are the rows rendered
+                if not (key.isascii() and key.isdigit() and str(int(key)) == key):
+                    raise KernelFormatError(
+                        f"row key must be a size in ASCII digits without leading zeros, got {key!r}"
+                    )
                 n = int(key)
                 if not isinstance(val, list) or not all(
                     isinstance(x, (int, float)) and not isinstance(x, bool) for x in val

@@ -2,6 +2,9 @@ from contextlib import contextmanager
 
 import pytest
 
+from treesource import heights
+from treesource.kernels import BstKernel, TableKernel
+
 
 def pytest_configure(config):
     config._criterion_lines = {}
@@ -30,3 +33,29 @@ def criterion(request):
         store[num] = f"[criterion {num:2d}] PASS - {desc}"
 
     return _criterion
+
+
+@pytest.fixture
+def scan_layers(monkeypatch):
+    """Layers yielded by each scan, counted where every exact entry point calls it."""
+    counts = []
+    scan = heights.survival_layers
+
+    def counting_scan(*args, **kwargs):
+        counts.append(0)
+        for item in scan(*args, **kwargs):
+            counts[-1] += 1
+            yield item
+
+    monkeypatch.setattr(heights, "survival_layers", counting_scan)
+    return counts
+
+
+@pytest.fixture
+def comb_kernel():
+    """Size 12 splits 6 | 6 and size 6 splits 3 | 3, so H_12 is always 4,
+    while size 10 always splits 1 | 9 and its height reaches 9."""
+    return TableKernel(
+        {12: [0.0] * 5 + [1.0] + [0.0] * 5, 6: [0.0, 0.0, 1.0, 0.0, 0.0], 10: [1.0] + [0.0] * 8},
+        BstKernel(),
+    )

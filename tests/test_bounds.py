@@ -379,8 +379,8 @@ class TestVerifyCertificates:
         assert after == before
 
     def test_table_profile_needs_only_the_grid_sizes(self):
-        # sizes off the grid get moment base 1, so the profile is asked only
-        # at grid sizes, and the grid rows are those of a profile for all sizes
+        # the scan takes one moment base per grid size, so the profile is asked
+        # only at grid sizes, and the grid rows are those of a profile for all sizes
         grid = [3, 10, 40, 41, 90]
 
         def phi(m):
@@ -419,6 +419,26 @@ class TestVerifyCertificates:
         assert (wb.family, wb.log_base, wb.moment_base(100)) == ("weakly-balanced", "2", 1.1)
         assert up.certificate(9) == upper_bounded_certificate(up, 9)
         assert wb.certificate(9) == weakly_balanced_certificate(wb, 9)
+
+    def test_sizes_off_the_grid_do_not_extend_the_scan(self, comb_kernel, scan_layers):
+        params = UpperBoundedParams(c=2.0, alpha=1.0, n_min=2, shift=1.0)
+        report = verify_certificates(comb_kernel, params, [6, 12])
+        assert scan_layers == [5]
+        assert [row.exact_eh for row in report.rows] == [3.0, 4.0]
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_sparse_grid_rows_equal_dense_grid_rows(self, name):
+        preset = make_preset(name)
+        dense = verify_certificates(preset.kernel, preset.params, range(1, 301))
+        sparse = verify_certificates(preset.kernel, preset.params, [1, 2, 7, 64, 65, 299, 300])
+        rows = {row.n: row for row in dense.rows}
+        assert list(sparse.rows) == [rows[row.n] for row in sparse.rows]
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 1.0, -1e-9])
+    def test_rejects_tail_tol_outside_unit_interval(self, tol):
+        preset = make_preset("bst-upper")
+        with pytest.raises(ValueError, match="tail_tol"):
+            verify_certificates(preset.kernel, preset.params, [10, 100], tail_tol=tol)
 
     @pytest.mark.parametrize("name", ["bst-upper", "bst-wbal"])
     def test_one_scan_feeds_every_row(self, name, monkeypatch):

@@ -85,6 +85,13 @@ class TestExact:
         code, _, err = run_cli(capsys, "exact", "--kernel", "bst", "--grid", "2:5", "--cdf")
         assert code == 1 and "--cdf" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "1.0", "-1e-9"])
+    @pytest.mark.parametrize("target", [["--n", "100"], ["--n", "100", "--cdf"], ["--grid", "2:50"]])
+    def test_rejects_tail_tol_outside_unit_interval(self, capsys, tol, target):
+        code, out, err = run_cli(capsys, "exact", "--kernel", "bst", *target, f"--tail-tol={tol}")
+        assert code == 1 and out == ""
+        assert "tail_tol must lie in [0, 1)" in err
+
 
 class TestValidate:
     def test_builtin_passes(self, capsys):
@@ -337,6 +344,14 @@ class TestVerify:
         assert code == 2
         assert "false" in out
         assert "FAILURES" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "1.0", "-1e-9"])
+    def test_rejects_tail_tol_outside_unit_interval(self, capsys, tol):
+        code, out, err = run_cli(
+            capsys, "verify", "--preset", "bst-upper", "--grid", "10,100", f"--tail-tol={tol}"
+        )
+        assert code == 1 and out == ""
+        assert "tail_tol must lie in [0, 1)" in err
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(

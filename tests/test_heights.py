@@ -245,6 +245,60 @@ class TestExpMoment:
             exp_moment_grid(BstKernel(), 5, math.inf)
 
 
+ONE_PASS_KERNELS = {
+    "bst": (BstKernel(), 3000),
+    "uniform": (UniformKernel(), 200),
+    "binomial(0.3)": (BinomialKernel(0.3), 500),
+    "table": (
+        TableKernel({4: [0.5, 0.0, 0.5], 12: [0.0] * 5 + [1.0] + [0.0] * 5}, BinomialKernel(0.3)),
+        300,
+    ),
+}
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("kernel, n", ONE_PASS_KERNELS.values(), ids=ONE_PASS_KERNELS)
+    def test_single_sizes_equal_grid_entries(self, kernel, n):
+        eh = expected_height(kernel, n)
+        assert eh == expected_height_grid(kernel, n)[n]
+        assert eh == height_cdf(kernel, n).expected_height()
+        n = min(n, 300)  # the moment stop rule runs long scans
+        logs, stops = exp_moment_grid(kernel, n, 1.5)
+        m = exp_moment(kernel, n, 1.5)
+        assert (m.log_value, m.h_cut) == (logs[n], stops[n])
+
+    def test_unasked_sizes_do_not_extend_a_pass(self, comb_kernel, scan_layers):
+        m = exp_moment(comb_kernel, 12, 2.0)
+        assert scan_layers == [5]
+        assert m.value == pytest.approx(16.0, rel=1e-15)
+        # the whole grid waits for size 10
+        exp_moment_grid(comb_kernel, 12, 2.0)
+        assert scan_layers == [5, 10]
+
+    def test_sizes_zero_and_one(self):
+        k = BstKernel()
+        for entry in (height_cdf, expected_height, expected_height_grid):
+            with pytest.raises(ValueError, match="n >= 1"):
+                entry(k, 0)
+        for n in (0, 1):
+            m = exp_moment(k, n, 2.0)
+            assert (m.log_value, m.h_cut) == (0.0, 0)
+        assert expected_height(k, 1) == 0.0
+        assert expected_height_grid(k, 1).tolist() == [0.0, 0.0]
+        assert [a.tolist() for a in exp_moment_grid(k, 1, 2.0)] == [[0.0, 0.0], [0, 0]]
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 1.0, -1e-9])
+    def test_rejects_tail_tol_outside_unit_interval(self, tol):
+        k = BstKernel()
+        for entry in (height_cdf, expected_height, expected_height_grid):
+            with pytest.raises(ValueError, match="tail_tol"):
+                entry(k, 10, tol)
+        with pytest.raises(ValueError, match="tail_tol"):
+            exp_moment(k, 10, 2.0, tol)
+        with pytest.raises(ValueError, match="tail_tol"):
+            exp_moment_grid(k, 10, 2.0, tol)
+
+
 class TestBruteForce:
     def test_exact_rationals(self):
         assert brute_expected_height(BstKernel(), 4) == Fraction(8, 3)

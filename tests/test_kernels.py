@@ -98,13 +98,16 @@ class TestRows:
             for i in range(1, 9):
                 assert row[i - 1] == pytest.approx(kernel.sigma(i, 9 - i), rel=1e-12)
 
-    def test_uniform_exact_log_crossover(self):
+    def test_uniform_exact_log_crossover(self, monkeypatch):
         # rows from the big-integer path and the log path must agree where
         # both are available
-        lo = UniformKernel(exact_limit=5)
-        hi = UniformKernel(exact_limit=40)
-        for n in (6, 12, 25, 40):
-            assert lo.split_pmf(n) == pytest.approx(hi.split_pmf(n), rel=1e-12)
+        sizes = (6, 12, 25, 40)
+        monkeypatch.setattr(kernels, "UNIFORM_EXACT_LIMIT", 5)
+        lo = [UniformKernel().split_pmf(n) for n in sizes]
+        monkeypatch.setattr(kernels, "UNIFORM_EXACT_LIMIT", 40)
+        hi = [UniformKernel().split_pmf(n) for n in sizes]
+        for a, b in zip(lo, hi):
+            assert a == pytest.approx(b, rel=1e-12)
 
     def test_uniform_large_row_still_normalized(self):
         row = UniformKernel().split_pmf(5000)
@@ -153,7 +156,7 @@ PMF_MATRIX_KERNELS = {
 class TestPmfMatrix:
     @pytest.mark.parametrize("make", PMF_MATRIX_KERNELS.values(), ids=PMF_MATRIX_KERNELS)
     def test_rows_are_split_pmf_rows(self, make):
-        n = 40  # past UniformKernel's exact_limit of 30
+        n = 40  # past UNIFORM_EXACT_LIMIT
         W = make().pmf_matrix(n)
         reference = make()
         want = np.zeros((n + 1, n + 1))
@@ -576,6 +579,19 @@ class TestKernelSpec:
     )
     def test_parse_rejects(self, text):
         with pytest.raises(KernelFormatError):
+            KernelSpec.parse(text)
+
+    @pytest.mark.parametrize(
+        "rows, key",
+        [
+            ('{"4": [0.5, 0.0, 0.5], "04": [0.25, 0.5, 0.25]}', "04"),
+            ('{"\u0664": [0.5, 0.0, 0.5]}', "\u0664"),
+        ],
+        ids=["leading-zero", "arabic-indic-digit"],
+    )
+    def test_parse_rejects_noncanonical_size_keys(self, rows, key):
+        text = f'{{"kind": "table", "rows": {rows}, "fallback": "bst"}}'
+        with pytest.raises(KernelFormatError, match=repr(key)):
             KernelSpec.parse(text)
 
     def test_build_rejects_bad_rows(self):
