@@ -31,7 +31,14 @@ from .bounds import (
     make_preset,
     verify_certificates,
 )
-from .heights import DEFAULT_TAIL_TOL, ScanBudgetError, expected_height_grid, height_cdf
+from .heights import (
+    DEFAULT_MEM_BUDGET,
+    DEFAULT_TAIL_TOL,
+    ScanBudgetError,
+    _grid_scan,
+    expected_height,
+    height_cdf,
+)
 from .kernels import (
     KernelFormatError,
     SplitKernel,
@@ -241,14 +248,13 @@ def _cmd_exact(args: argparse.Namespace) -> int:
         _emit("\n".join(lines), manifest)
         return 0
     if args.n is not None:
-        value = expected_height_grid(kernel, args.n, args.tail_tol)[args.n]
-        _emit(f"{value:.16g}", manifest)
+        _emit(f"{expected_height(kernel, args.n, args.tail_tol):.16g}", manifest)
         return 0
     grid = manifest.grid
-    values = expected_height_grid(kernel, grid[-1], args.tail_tol)
+    values = _grid_scan(kernel, grid, args.tail_tol, DEFAULT_MEM_BUDGET)[0]
     lines = ["n,expected_height"]
-    for n in grid:
-        lines.append(f"{n},{_fmt(values[n])}")
+    for n, value in zip(grid, values):
+        lines.append(f"{n},{_fmt(value)}")
     _emit("\n".join(lines), manifest)
     return 0
 

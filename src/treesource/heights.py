@@ -21,6 +21,15 @@ the largest of them, accumulates E(H_m) and the moments at those sizes only,
 and ends once each has met its stop rule.  Moments are accumulated in log
 space, so values that would overflow a double are still finite logs.
 
+A moment stops at the first layer where a proven bound on its remaining tail
+(b-1) * sum_{j>h} b^j S_j[m] is at most tail_tol times the sum so far.  The
+plain bound is b^(m-1) * S_h[m], since survivals fall in h and vanish from
+h = m-1.  It overstates the tail by a factor of up to about b^(m-1-h), so
+once a size's expected height has retired, the pass also tries a geometric
+bound from the union step 1 - (1-x)(1-y) <= x + y, the step behind the
+certificates themselves (see _THETA).  Either bound retires the moment, so
+no pass runs longer for it.
+
 A scan is sequential in h by data dependence.  Scans for different kernels
 or sizes are independent and may run in parallel; results are immutable.
 """
@@ -67,6 +76,30 @@ BRUTE_FORCE_LIMIT = 12
 _BLOCK_BYTES = 512 << 10
 
 _MAX_LOG = math.log(np.finfo(float).max)
+
+_THETA = 0.5
+"""Per-layer decay of the geometric tail bound on the exponential moments.
+
+Since 1 - (1-x)(1-y) <= x + y, every layer obeys S_{h+1} <= L S_h
+componentwise, with (Lv)(m) = sum_k sigma(k, m-k) * (v[k] + v[m-k]).  L is
+nonnegative and row m reads only sizes below m, so S_{h+t} <= L^t S_h, and
+on sizes up to m, S_h <= c_h(m) * g for c_h(m) = max_{k<=m} S_h[k] / g[k].
+The supersolution g has g[0] = g[1] = 0 and g[m] = 1 + (B/theta) * (Lg)(m),
+B the largest base of the pass, so B * L g <= theta * g and, for every
+base b <= B,
+
+    (b-1) * sum_{j>h} b^j S_j[m] <= (b-1) * b^h * c_h(m) * g[m] * theta/(1-theta).
+
+g is built with B/theta scaled up by 1 + _G_MARGIN.  The margin covers the
+rounding of g's own sums, the rounding of each layer's sums of nonnegative
+terms (relative 2n * 2^-53) and rows forced to exactly 1 whose split row
+sums to as little as 1 - TABLE_TOL, each far below 1e-6 for any n a scan
+can hold, so the bound holds for the survivals as computed.  A g that
+overflows a double is inf from that size on, and the bound is not used
+there.
+"""
+_G_MARGIN = 1e-6
+_LOG_GEOMETRIC = math.log(_THETA / (1.0 - _THETA))
 
 
 class ScanBudgetError(MemoryError):
@@ -243,9 +276,13 @@ def exp_moment_grid(
 
     bases may be a scalar or a per-size array with entries >= 1 (entries
     for sizes 0 and 1 are ignored; those moments are identically 1).
-    Returns (log_moments, stop_layers).  Size m stops once its remaining
-    tail, bounded by bases[m]^(m-1) * S_h[m], is at most tail_tol times
-    the moment accumulated so far.
+    Returns (log_moments, stop_layers).  Size m stops at the first layer
+    where a proven bound on its remaining tail is at most tail_tol times the
+    moment accumulated so far, so each moment is within tail_tol, relative,
+    of the untruncated one.  The bound is the smaller of bases[m]^(m-1) *
+    S_h[m] and, once E(H_m) has retired, the geometric bound of _THETA; the
+    latter depends on the largest base, so a stop layer may move with the
+    other bases of the pass, within tail_tol.
     """
     return _grid_scan(kernel, range(n_max + 1), tail_tol, mem_budget, bases)[1:3]
 
@@ -283,24 +320,70 @@ def _grid_scan(
     stop = np.zeros(idx.size, dtype=int)
     # positions still accumulating; sizes 0 and 1 add S_0 = 0 and retire
     e_live = np.arange(idx.size)
+    e_retired = np.zeros(idx.size, dtype=bool)
     m_live = e_live[idx >= 2] if bases is not None else e_live[:0]
+    log_g = None  # the supersolution of _THETA, built when first needed
     column = []
     for h, S in survival_layers(kernel, max(sizes, default=0), mem_budget):
         s = S[idx[e_live]]
         E[e_live] += s
         column.extend(s[e_live == idx.size - 1])
+        e_retired[e_live[s <= tail_tol]] = True
         e_live = e_live[s > tail_tol]
         if m_live.size:
             with np.errstate(divide="ignore"):
                 lnS = np.log(S[idx[m_live]])
             acc[m_live] = np.logaddexp(acc[m_live], h * lb[m_live] + lnS)
-            log_moment = np.logaddexp(0.0, lbm1[m_live] + acc[m_live])
-            done = (idx[m_live] - 1) * lb[m_live] + lnS <= log_tol + log_moment
+            limit = log_tol + np.logaddexp(0.0, lbm1[m_live] + acc[m_live])
+            done = (idx[m_live] - 1) * lb[m_live] + lnS <= limit
+            # the geometric bound, tried from the layer where the size's own
+            # E(H) retires, so its stop layer does not wait on other sizes
+            late = e_retired[m_live] & ~done
+            if late.any():
+                if log_g is None:
+                    log_g = _log_supersolution(kernel, int(idx[m_live].max()), float(b.max()))
+                at = m_live[late]
+                bound = lbm1[at] + h * lb[at] + _log_tail_factor(S, log_g, idx[at])
+                done[late] = bound <= limit[late]
             stop[m_live[done]] = h
             m_live = m_live[~done]
         if not (e_live.size or m_live.size):
             break
     return E, np.logaddexp(0.0, lbm1 + acc), stop, np.array(column)
+
+
+def _log_supersolution(kernel: SplitKernel, n: int, top_base: float) -> np.ndarray:
+    """log g[0..n] for the geometric tail bound of _THETA, from one ascending row walk.
+
+    g[0] = g[1] = 0, so those logs are -inf.  From the first size where g
+    overflows a double, every entry is set to inf and the walk stops there.
+    """
+    g = np.zeros(n + 1)
+    scale = (1.0 + _G_MARGIN) * top_base / _THETA
+    with np.errstate(over="ignore"):
+        for m, row in enumerate(kernel._ascending_rows(range(2, n + 1)), 2):
+            v = 1.0 + scale * float(row @ (g[1:m] + g[m - 1 : 0 : -1]))
+            if not v < math.inf:  # later sizes read g[m]; inf only turns the bound off
+                g[m:] = math.inf
+                break
+            g[m] = v
+    with np.errstate(divide="ignore"):
+        return np.log(g)
+
+
+def _log_tail_factor(S: np.ndarray, log_g: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """log(c_h(m) * g[m] * theta/(1-theta)) at each size m >= 2 (see _THETA).
+
+    Times (b-1) * b^h, this bounds the remaining moment tail after layer h.
+    It is inf wherever g is not finite, so the bound is not used there.
+    """
+    top = int(sizes.max())
+    with np.errstate(divide="ignore"):
+        c = np.maximum.accumulate(np.log(S[2 : top + 1]) - log_g[2 : top + 1])
+    out = np.full(sizes.shape, math.inf)
+    ok = log_g[sizes] < math.inf
+    out[ok] = c[sizes[ok] - 2] + log_g[sizes[ok]] + _LOG_GEOMETRIC
+    return out
 
 
 def exp_moment(

@@ -598,7 +598,7 @@ def validate_kernel(kernel: SplitKernel, n_max: int, tol: float | None = None) -
 # "p" is required exactly when kind is binomial; table rows map the decimal
 # size to n-1 nonnegative numbers summing to 1 within 1e-9; "fallback" names
 # a closed-form kind and "fallback_p" is required exactly when the fallback
-# is binomial.  Unknown fields are rejected.
+# is binomial.  Unknown fields and repeated keys, at any level, are rejected.
 
 _CLOSED_KINDS = ("bst", "uniform", "binomial")
 
@@ -616,7 +616,7 @@ class KernelSpec:
     @staticmethod
     def parse(text: str) -> "KernelSpec":
         try:
-            obj = json.loads(text)
+            obj = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise KernelFormatError(f"not valid JSON: {exc}") from exc
         if not isinstance(obj, dict):
@@ -693,6 +693,16 @@ class KernelSpec:
             return make_kernel(self.kind, self.p)
         except ValueError as exc:
             raise KernelFormatError(str(exc)) from exc
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a repeated key raises, where json would keep the last value."""
+    obj = {}
+    for key, val in pairs:
+        if key in obj:
+            raise KernelFormatError(f"duplicate key {key!r} in kernel description")
+        obj[key] = val
+    return obj
 
 
 def _parse_p(obj: dict, key: str) -> float:

@@ -81,6 +81,18 @@ class TestExact:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "target, want",
+        [(["--n", "12"], "4\n"), (["--grid", "6,12"], "n,expected_height\n6,3\n12,4\n")],
+        ids=["n", "grid"],
+    )
+    def test_pass_ends_with_the_asked_sizes(self, capsys, comb_kernel, scan_layers, target, want):
+        # size 10 would run 10 layers; the asked sizes retire after 5
+        spec = render_kernel_spec(comb_kernel)
+        code, out, _ = run_cli(capsys, "exact", "--kernel-json", spec, *target)
+        assert (code, out) == (0, want)
+        assert scan_layers == [5]
+
     def test_cdf_needs_single_size(self, capsys):
         code, _, err = run_cli(capsys, "exact", "--kernel", "bst", "--grid", "2:5", "--cdf")
         assert code == 1 and "--cdf" in err

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from treesource import heights
 from treesource.heights import (
     BRUTE_FORCE_LIMIT,
+    DEFAULT_TAIL_TOL,
     ScanBudgetError,
     brute_expected_height,
     check_moment_recursion,
@@ -204,6 +205,7 @@ class TestExpMoment:
             got = exp_moment(kernel, 7, base, tail_tol=0.0).value
             assert got == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_stays_finite_in_log(self):
         m = exp_moment(BstKernel(), 200, 1e6, tail_tol=1e-9)
         assert m.overflowed
@@ -508,3 +510,67 @@ def test_scan_matches_exact_reference_on_tables(kernel, n, block_bytes):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(heights, "_BLOCK_BYTES", block_bytes)
         assert_matches_exact_scan(kernel, n)
+
+
+def moment_bases(kind, n):
+    """Moment bases per size 0..n: constant e, falling toward 1 as 1 + 1/sqrt(m), or near 1."""
+    if kind == "falling":
+        return 1.0 + 1.0 / np.sqrt(np.maximum(np.arange(n + 1), 1))
+    return np.full(n + 1, {"e": math.e, "near-one": 1.0 + 1e-6}[kind])
+
+
+def assert_tail_bound_holds(kernel, n, bases):
+    """At every layer h and size m, the geometric bound is at least the remaining tail.
+
+    The tail (b-1) * sum_{j>h} b^j S_j[m] is summed from the untruncated scan,
+    with the pass's largest base for the supersolution, as _grid_scan builds it.
+    """
+    sizes = np.arange(2, n + 1)
+    b = bases[sizes]
+    layers = np.array([S for _, S in survival_layers(kernel, n)])
+    log_g = heights._log_supersolution(kernel, n, float(b.max()))
+    assert np.all(np.isfinite(log_g[2:]))
+    terms = (b - 1.0) * b ** np.arange(n)[:, None] * layers[:, sizes]
+    for h in range(n):
+        bound = np.log(b - 1.0) + h * np.log(b)
+        bound += heights._log_tail_factor(layers[h], log_g, sizes)
+        with np.errstate(divide="ignore"):
+            tail = np.log(terms[h + 1 :].sum(axis=0))
+        # the margin in g is 1e-6; 1e-12 covers the rounding of this sum
+        below = sizes[bound < tail - 1e-12]
+        assert below.size == 0, f"h={h}: bound below the tail at sizes {below}"
+
+
+BASE_KINDS = ["e", "falling", "near-one"]
+
+
+class TestTailBound:
+    @pytest.mark.parametrize("bases", BASE_KINDS)
+    @pytest.mark.parametrize("kernel", KERNELS[:3], ids=IDS[:3])
+    def test_bound_covers_the_tail(self, kernel, bases):
+        assert_tail_bound_holds(kernel, 40, moment_bases(bases, 40))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kernel=table_kernels(n_max=40),
+        n=st.integers(min_value=2, max_value=40),
+        bases=st.sampled_from(BASE_KINDS),
+    )
+    def test_bound_covers_the_tail_on_tables(self, kernel, n, bases):
+        assert_tail_bound_holds(kernel, n, moment_bases(bases, n))
+
+    def test_bst_moment_pass_is_short(self, scan_layers):
+        # the plain bound e^(m-1) * S_h[m] alone ran 277 layers
+        exp_moment_grid(BstKernel(), 1200, math.e)
+        assert scan_layers[0] <= 80
+
+    @pytest.mark.parametrize("bases", BASE_KINDS)
+    @pytest.mark.parametrize("kernel, n", ONE_PASS_KERNELS.values(), ids=ONE_PASS_KERNELS)
+    def test_moments_within_tail_tol_of_untruncated(self, kernel, n, bases):
+        n = min(n, 300)
+        b = moment_bases(bases, n)
+        full, _ = exp_moment_grid(kernel, n, b, tail_tol=0.0)
+        cut, _ = exp_moment_grid(kernel, n, b)
+        # a truncated sum is a prefix of the untruncated one, added in the same order
+        assert np.all(cut <= full)
+        assert np.all(full - cut <= math.log1p(DEFAULT_TAIL_TOL) + 4 * np.spacing(full))

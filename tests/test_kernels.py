@@ -594,6 +594,22 @@ class TestKernelSpec:
         with pytest.raises(KernelFormatError, match=repr(key)):
             KernelSpec.parse(text)
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            (
+                '{"kind": "table", "rows": {"4": [0.5, 0.0, 0.5], "4": [0.25, 0.5, 0.25]},'
+                ' "fallback": "bst"}',
+                "4",
+            ),
+            ('{"kind": "uniform", "kind": "bst"}', "kind"),
+        ],
+        ids=["row-key", "top-level-key"],
+    )
+    def test_parse_rejects_duplicate_keys(self, text, key):
+        with pytest.raises(KernelFormatError, match=f"duplicate key {key!r}"):
+            KernelSpec.parse(text)
+
     def test_build_rejects_bad_rows(self):
         spec = KernelSpec.parse(
             '{"kind": "table", "rows": {"4": [0.9, 0.9, 0.9]}, "fallback": "bst"}'
