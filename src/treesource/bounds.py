@@ -503,8 +503,9 @@ def verify_certificates(
     the moment inequality, and the height inequality, each allowed PASS_TOL
     slack on its comparison scale.  All exact quantities come from one scan
     that accumulates at the grid sizes only, membership rows from one
-    ascending walk over the required sizes, which caches no row, and the
-    Monte Carlo columns (sizes n >= 2) from one mc_expected_height_grid.
+    ascending walk over the required sizes, and the Monte Carlo columns
+    (sizes n >= 2) from one mc_expected_height_grid.  No row outlives the
+    call: the kernel keeps none.
     """
     sizes = sorted(set(int(n) for n in ns))
     if not sizes or sizes[0] < 1:

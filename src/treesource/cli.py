@@ -47,7 +47,7 @@ from .kernels import (
     render_kernel_spec,
     validate_kernel,
 )
-from .sampling import mc_expected_height_grid, replicate_seed, sample_height, sample_shape
+from .sampling import mc_expected_height_grid, replicate_seed, sample_preorder
 
 __all__ = ["main", "RunManifest"]
 
@@ -208,10 +208,11 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         raise ValueError(f"need n >= 1, got {args.n}")
     if args.replicates < 1:
         raise ValueError(f"need replicates >= 1, got {args.replicates}")
-    sample = sample_height if args.what == "heights" else sample_shape
-    lines = ["replicate,height" if args.what == "heights" else "replicate,shape"]
-    for r in range(args.replicates):
-        lines.append(f"{r},{sample(kernel, args.n, replicate_seed(args.seed, r))}")
+    heights = args.what == "heights"
+    seeds = (replicate_seed(args.seed, r) for r in range(args.replicates))
+    lines = ["replicate,height" if heights else "replicate,shape"]
+    for r, (bits, height) in enumerate(sample_preorder(kernel, args.n, seeds)):
+        lines.append(f"{r},{height if heights else bits}")
     manifest = RunManifest(
         subcommand="sample",
         kernel=render_kernel_spec(kernel),

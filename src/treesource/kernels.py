@@ -32,13 +32,14 @@ the band between them, which is O(sqrt(n)) wide.  At n = 8182 and 30000, for
 p = 0.03, 0.3, 0.5 and 0.97, every entry above 1e-300 comes out bit for bit
 as without dropping.  The step and the dropping rule are the same on every
 path, so a row has the same bits whichever path built it.  Building row n
-costs n - 2 steps, so rows above PMF_CACHE_LIMIT are slow to get one at a
-time.  sigma builds no row at any size: it is evaluated directly in O(1)
-by Loader's saddle-point form.  For every n < 200 at p = 0.03, 0.3, 0.5, 0.7
-and 0.97 it is within 2.4e-13 relative of the exact value.
+costs n - 2 steps, so callers that need rows of many sizes take them from
+one ascending walk.  sigma builds no row at any size: it is evaluated
+directly in O(1) by Loader's saddle-point form.  For every n < 200 at
+p = 0.03, 0.3, 0.5, 0.7 and 0.97 it is within 2.4e-13 relative of the exact
+value.
 
-Kernels are immutable and safe to share across threads: row caches are
-filled under a lock and only ever read afterwards.
+Kernels keep no rows: every row is built when it is asked for, and the
+caller that asked owns it.
 """
 
 from __future__ import annotations
@@ -68,10 +69,8 @@ __all__ = [
     "tree_probability",
     "load_kernel_spec",
     "render_kernel_spec",
-    "PMF_CACHE_LIMIT",
 ]
 
-PMF_CACHE_LIMIT = 4096
 UNIFORM_EXACT_LIMIT = 30
 
 CLOSED_FORM_TOL = 1e-12
@@ -98,18 +97,13 @@ def _check_pair(i: int, j: int) -> int:
 class SplitKernel:
     """Base class; concrete kernels implement the scalar forms and _row.
 
-    A kernel whose rows follow from the previous row overrides _new_row and
+    A kernel whose rows follow from the previous row overrides
     _ascending_rows instead of _row.  Callers that need rows of many sizes
     in increasing order take them from _ascending_rows, which builds each
-    row once and caches none of them.
+    row once and keeps none of them.
     """
 
     kind: str = "abstract"
-
-    def __init__(self) -> None:
-        self._rows: dict[int, np.ndarray] = {}
-        self._cdfs: dict[int, list[float]] = {}
-        self._lock = threading.Lock()
 
     # --- scalar interface -------------------------------------------------
 
@@ -133,54 +127,29 @@ class SplitKernel:
     def split_pmf(self, n: int) -> np.ndarray:
         """Raw split row at size n: entry k-1 holds sigma(k, n-k).
 
-        Rows for n up to PMF_CACHE_LIMIT are memoized; cached arrays are
-        read-only and shared, so callers must not mutate them.
+        The row is built afresh on every call, which for a binomial kernel
+        takes n - 2 Pascal steps.  It may be read-only; do not mutate it.
         """
         if n < 2:
             raise ValueError(f"split rows exist for n >= 2, got {n}")
-        row = self._rows.get(n)
-        if row is None:
-            with self._lock:
-                row = self._rows.get(n)
-                if row is None:
-                    row = self._new_row(n)
-        return row
-
-    def _new_row(self, n: int) -> np.ndarray:
-        """Row n, not yet cached; runs under the lock and caches rows up to PMF_CACHE_LIMIT."""
-        row = self._row(n)
-        if n <= PMF_CACHE_LIMIT:
-            row.setflags(write=False)
-            self._rows[n] = row
-        return row
+        return next(self._ascending_rows([n]))
 
     def split_cdf(self, n: int) -> list[float]:
-        """Cumulative split row as a plain list, used by inverse-CDF sampling."""
-        if n <= PMF_CACHE_LIMIT:
-            cdf = self._cdfs.get(n)
-            if cdf is not None:
-                return cdf
-        cdf = np.cumsum(self.split_pmf(n)).tolist()
-        if n <= PMF_CACHE_LIMIT:
-            with self._lock:
-                self._cdfs.setdefault(n, cdf)
-        return cdf
+        """Cumulative split row as a plain list, built afresh like split_pmf."""
+        return np.cumsum(self.split_pmf(n)).tolist()
 
     def _ascending_rows(self, sizes: Sequence[int]) -> Iterator[np.ndarray]:
         """Split rows of the given increasing sizes, in one pass that keeps none of them.
 
-        Cached rows are reused and no row is added to the cache; rows must
-        not be mutated.
+        Rows may be read-only; do not mutate them.
         """
         for m in sizes:
-            row = self._rows.get(m)
-            yield self._row(m) if row is None else row
+            yield self._row(m)
 
     def pmf_matrix(self, n: int) -> np.ndarray:
         """Dense (n+1) x (n+1) matrix W with W[m, k] = sigma(k, m-k).
 
-        The rows come from one ascending walk and are not cached, since W
-        holds every one of them already.
+        The rows come from one ascending walk.
         """
         W = np.zeros((n + 1, n + 1))
         for m, row in enumerate(self._ascending_rows(range(2, n + 1)), 2):
@@ -222,15 +191,16 @@ class BstKernel(SplitKernel):
 class UniformKernel(SplitKernel):
     """Catalan-weighted splits; induces the uniform law on tree shapes.
 
-    Rows are exact big-integer ratios up to UNIFORM_EXACT_LIMIT leaves and
-    switch to a cumulative log-count table beyond, which keeps every entry
-    within a few ulp without overflowing.
+    Entries up to UNIFORM_EXACT_LIMIT leaves are quotients of exact tree
+    counts, correctly rounded by int true division, so they equal
+    float(sigma_exact) bit for bit.  Beyond, they come from a cumulative
+    log-count table, which keeps every entry within a few ulp without
+    overflowing.
     """
 
     kind = "uniform"
 
     def __init__(self):
-        super().__init__()
         self._log_counts = np.zeros(2)
         self._log_lock = threading.Lock()
 
@@ -249,7 +219,7 @@ class UniformKernel(SplitKernel):
     def sigma(self, i: int, j: int) -> float:
         n = _check_pair(i, j)
         if n <= UNIFORM_EXACT_LIMIT:
-            return float(self.sigma_exact(i, j))
+            return count_trees(i) * count_trees(j) / count_trees(n)
         lt = self._log_count(n)
         return float(math.exp(lt[i] + lt[j] - lt[n]))
 
@@ -260,10 +230,7 @@ class UniformKernel(SplitKernel):
     def _row(self, n: int) -> np.ndarray:
         if n <= UNIFORM_EXACT_LIMIT:
             tn = count_trees(n)
-            return np.array(
-                [Fraction(count_trees(k) * count_trees(n - k), tn) for k in range(1, n)],
-                dtype=float,
-            )
+            return np.array([count_trees(k) * count_trees(n - k) / tn for k in range(1, n)])
         lt = self._log_count(n)
         k = np.arange(1, n)
         return np.exp(lt[k] + lt[n - k] - lt[n])
@@ -278,7 +245,6 @@ class BinomialKernel(SplitKernel):
     kind = "binomial"
 
     def __init__(self, p: float):
-        super().__init__()
         if not 0.0 < p < 1.0:
             raise ValueError(f"binomial parameter must lie in (0, 1), got {p}")
         self.p = float(p)
@@ -318,39 +284,15 @@ class BinomialKernel(SplitKernel):
             j -= 1
         return i, out[i:j]
 
-    def _nearest_row(self, n: int) -> tuple[int, np.ndarray]:
-        """The largest cached row at or below n, with its size; row 2 if none is."""
-        m = min(n, PMF_CACHE_LIMIT)
-        while m > 2 and m not in self._rows:
-            m -= 1
-        return m, self._rows.get(m, _ROW_2)
-
-    def _walk(self, sizes: Sequence[int], cache: bool) -> Iterator[np.ndarray]:
-        """Rows of the given increasing sizes, by Pascal steps from the nearest cached row.
-
-        With cache set, every row stepped through up to PMF_CACHE_LIMIT is
-        cached on the way.
-        """
-        m = None
+    def _ascending_rows(self, sizes: Sequence[int]) -> Iterator[np.ndarray]:
+        """Rows of the given increasing sizes, by Pascal steps from row 2."""
+        m, lo, band = 2, 0, _ROW_2
         for n in sizes:
-            if m is None:
-                m, row = self._nearest_row(n)
-                nonzero = np.flatnonzero(row)
-                lo, band = int(nonzero[0]), row[nonzero[0] : nonzero[-1] + 1]
             while m < n:
                 m += 1
                 shift, band = self._pascal_step(band)
                 lo += shift
-                row = None
-                if cache and m <= PMF_CACHE_LIMIT:
-                    row = self._rows[m] = _spread(band, lo, m)
-            yield _spread(band, lo, m) if row is None else row
-
-    def _ascending_rows(self, sizes: Sequence[int]) -> Iterator[np.ndarray]:
-        return self._walk(sizes, cache=False)
-
-    def _new_row(self, n: int) -> np.ndarray:
-        return next(self._walk([n], cache=True))
+            yield _spread(band, lo, m)
 
     def describe(self) -> str:
         return f"binomial(p={self.p!r})"
@@ -369,7 +311,6 @@ class TableKernel(SplitKernel):
     kind = "table"
 
     def __init__(self, rows: dict[int, "np.ndarray | list[float]"], fallback: SplitKernel):
-        super().__init__()
         if isinstance(fallback, TableKernel):
             raise KernelFormatError("fallback must be a closed-form kernel")
         self.fallback = fallback
@@ -406,14 +347,11 @@ class TableKernel(SplitKernel):
             return Fraction(float(row[i - 1]))
         return self.fallback.sigma_exact(i, j)
 
-    def split_pmf(self, n: int) -> np.ndarray:
-        """The listed row at size n, else the fallback's (cached there)."""
-        row = self.rows.get(n)
-        return self.fallback.split_pmf(n) if row is None else row
-
     def _ascending_rows(self, sizes: Sequence[int]) -> Iterator[np.ndarray]:
-        for m, row in zip(sizes, self.fallback._ascending_rows(sizes)):
-            yield self.rows.get(m, row)
+        # the fallback builds only the rows the table does not list
+        fallback = self.fallback._ascending_rows([m for m in sizes if m not in self.rows])
+        for m in sizes:
+            yield self.rows[m] if m in self.rows else next(fallback)
 
     def describe(self) -> str:
         sizes = ",".join(str(n) for n in sorted(self.rows))
@@ -501,15 +439,18 @@ def make_kernel(kind: str, p: float | None = None) -> SplitKernel:
 def tree_probability(kernel: SplitKernel, t: BinaryTree) -> tuple[float, float]:
     """Probability of a tree under a kernel, as (linear, natural log).
 
-    The linear value is a running product and may underflow to 0 for deep
-    trees; the log value stays finite unless some split has probability 0,
-    in which case it is -inf.  Split weights are read from the cached rows,
-    so batch evaluation over many trees stays cheap.
+    It is the product of kernel.sigma over the inner nodes, so it builds
+    no row.  For binomial kernels, and uniform ones above
+    UNIFORM_EXACT_LIMIT leaves, sigma and the split rows may differ in the
+    last bits, so this product may differ from one of row entries by about
+    1e-13 relative.  The linear value is a running product and may
+    underflow to 0 for deep trees; the log value stays finite unless some
+    split has probability 0, in which case it is -inf.
     """
     prob = 1.0
     logprob = 0.0
     for i, j in inner_split_sizes(t):
-        s = float(kernel.split_pmf(i + j)[i - 1])
+        s = kernel.sigma(i, j)
         prob *= s
         logprob += math.log(s) if s > 0.0 else -math.inf
     return prob, logprob

@@ -3,22 +3,26 @@
 A sample is grown top-down: starting from the full leaf budget, each
 pending block of m leaves either becomes a leaf (m = 1) or draws a left
 share k from the size-m split row and splits into blocks of k and m - k.
-sample_shape, sample_tree and sample_height expand one tree by one
-traversal with an explicit work stack in pre-order, so comb-like trees of
-any size cannot overflow the interpreter stack.  Monte Carlo grows many
-trees at once instead, one tree level at a time, with one vectorized draw
-per level for every pending block of every replicate.
+sample_preorder expands each tree by one traversal with an explicit work
+stack in pre-order, so comb-like trees of any size cannot overflow the
+interpreter stack; sample_shape, sample_tree and sample_height are its
+one-seed forms.  Monte Carlo grows many trees at once instead, one tree
+level at a time, with one vectorized draw per level for every pending
+block of every replicate.
 
 How a left share is drawn follows from the kernel alone: bst draws a
 uniform integer, binomial a binomial variate, and every other kernel
 (tables included, whatever their fallback) inverts the split row's CDF.
+An inverse-CDF draw reads one _CdfTable, built once per call, so scalar
+and Monte Carlo draws read the same cumulative rows.
 
 Reproducibility contract, for a fixed build of this package (bit-identical
 output across numpy versions is not promised):
 
-* sample_shape, sample_tree and sample_height are pure functions of
-  (kernel, size, seed) and read one traversal, so they agree for equal
-  seeds.  The sample subcommand draws replicate r from
+* sample_preorder yields, for each seed, the shape bits and height that
+  sample_shape and sample_height give at that seed; all four are pure
+  functions of (kernel, size, seed), and sample_tree builds the tree of
+  sample_shape's bits.  The sample subcommand draws replicate r from
   replicate_seed(seed, r) and is bit-stable per seed.
 * mc_heights and mc_expected_height are pure functions of (kernel, n,
   replicates, seed).  Replicates are grown in blocks of MC_BLOCK, block b
@@ -32,17 +36,18 @@ output across numpy versions is not promised):
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .kernels import PMF_CACHE_LIMIT, BinomialKernel, BstKernel, SplitKernel
+from .kernels import BinomialKernel, BstKernel, SplitKernel
 from .trees import LEAF, BinaryTree, node, tree_from_shape_bits
 
 __all__ = [
     "MC_BLOCK",
     "mix64",
     "replicate_seed",
+    "sample_preorder",
     "sample_shape",
     "sample_tree",
     "sample_height",
@@ -57,6 +62,10 @@ __all__ = [
 # pending blocks take O(MC_BLOCK * n) memory: 256 keeps a bst block at
 # n = 10^5 near 165 MiB, and larger blocks were no faster at n <= 4096.
 MC_BLOCK = 256
+
+# Largest size whose cumulative row a _CdfTable stores; the flat table then
+# takes at most 8 * 4096^2 / 2 bytes, about 64 MiB.
+_TABLE_LIMIT = 4096
 
 _GOLDEN64 = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -81,27 +90,30 @@ def _rng(seed: "int | np.random.Generator") -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _split_drawer(kernel: SplitKernel, rng: np.random.Generator) -> Callable[[int], int]:
-    """The draw function k = draw(m) for the left share at block size m."""
+def _split_drawer(
+    kernel: SplitKernel, n: int
+) -> Callable[[np.random.Generator], Callable[[int], int]]:
+    """drawer(rng) is one size-n tree's draw function k = draw(m) for the left share.
+
+    An inverse-CDF tree takes its n - 1 uniforms, one per inner node, in
+    one call, which gives the doubles of n - 1 calls of rng.random().
+    """
     if isinstance(kernel, BstKernel):
-        return lambda m: int(rng.integers(1, m))
+        return lambda rng: lambda m: int(rng.integers(1, m))
     if isinstance(kernel, BinomialKernel):
         p = kernel.p
-        return lambda m: 1 + int(rng.binomial(m - 2, p))
+        return lambda rng: lambda m: 1 + int(rng.binomial(m - 2, p))
+    table = _CdfTable(kernel, min(n, _TABLE_LIMIT))
 
-    def draw(m: int) -> int:
-        cdf = kernel.split_cdf(m)
-        # clamp: cumulative row can fall a few ulp short of 1
-        return min(bisect_right(cdf, rng.random()) + 1, m - 1)
+    def tree_drawer(rng: np.random.Generator) -> Callable[[int], int]:
+        u = iter(rng.random(n - 1).tolist())
+        return lambda m: table.draw_one(m, next(u))
 
-    return draw
+    return tree_drawer
 
 
-def _preorder(kernel: SplitKernel, n: int, seed: "int | np.random.Generator") -> tuple[str, int]:
+def _preorder(draw: Callable[[int], int], n: int) -> tuple[str, int]:
     """Pre-order shape bits and height of one tree, drawing one split per inner node."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    draw = _split_drawer(kernel, _rng(seed))
     bits = []
     height = 0
     stack = [(n, 0)]
@@ -120,9 +132,25 @@ def _preorder(kernel: SplitKernel, n: int, seed: "int | np.random.Generator") ->
     return "".join(bits), height
 
 
+def sample_preorder(
+    kernel: SplitKernel, n: int, seeds: "Iterable[int | np.random.Generator]"
+) -> Iterator[tuple[str, int]]:
+    """Pre-order shape bits ('1' inner, '0' leaf) and height of one size-n tree per seed.
+
+    Every tree goes through one draw function, so an inverse-CDF kernel
+    builds one table of cumulative rows per call: a loop over many trees
+    should make one call.  A generator seed is advanced by its tree, so
+    repeating one generator draws the trees of its stream in turn.
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    drawer = _split_drawer(kernel, n)
+    return (_preorder(drawer(_rng(seed)), n) for seed in seeds)
+
+
 def sample_shape(kernel: SplitKernel, n: int, seed: "int | np.random.Generator") -> str:
     """Pre-order shape bits of sample_tree(kernel, n, seed) ('1' inner, '0' leaf)."""
-    return _preorder(kernel, n, seed)[0]
+    return next(sample_preorder(kernel, n, [seed]))[0]
 
 
 def sample_tree(kernel: SplitKernel, n: int, seed: "int | np.random.Generator") -> BinaryTree:
@@ -132,7 +160,7 @@ def sample_tree(kernel: SplitKernel, n: int, seed: "int | np.random.Generator") 
 
 def sample_height(kernel: SplitKernel, n: int, seed: "int | np.random.Generator") -> int:
     """Height of sample_tree(kernel, n, seed) without materializing the tree."""
-    return _preorder(kernel, n, seed)[1]
+    return next(sample_preorder(kernel, n, [seed]))[1]
 
 
 def sample_uniform_remy(n: int, seed: "int | np.random.Generator") -> BinaryTree:
@@ -190,16 +218,16 @@ def sample_uniform_remy(n: int, seed: "int | np.random.Generator") -> BinaryTree
 
 
 class _CdfTable:
-    """Cumulative split rows for exact vectorized inverse-CDF draws.
+    """Cumulative split rows for exact inverse-CDF draws, scalar and vectorized.
 
     Rows of sizes 2..limit are stored back to back in one flat array, each
-    the np.cumsum of the kernel's split row like SplitKernel.split_cdf, so a
-    lookup returns exactly the k of the scalar sampler.  Rows of larger
-    sizes are built once per distinct size per call and dropped, which
-    keeps memory at O(limit^2 + n) for any n.  Both come from the kernel's
-    ascending walk, which leaves its row cache alone.  A binomial walk takes
-    a Pascal step, O(sqrt(m)) wide, for every size m up to the largest one
-    asked; the other kernels build O(m) per distinct size.
+    the np.cumsum of the kernel's split row, as SplitKernel.split_cdf gives
+    it, so draw_one and draw return the same k for the same uniform.  Rows
+    of larger sizes are built once per distinct size per draw call and
+    dropped, which keeps memory at O(limit^2 + n) for any n.  All rows come
+    from the kernel's ascending walk.  A binomial walk takes a Pascal step,
+    O(sqrt(m)) wide, for every size m up to the largest one asked; the other
+    kernels build O(m) per distinct size.
     """
 
     def __init__(self, kernel: SplitKernel, limit: int):
@@ -212,6 +240,17 @@ class _CdfTable:
         for m, row in enumerate(kernel._ascending_rows(range(2, limit + 1)), 2):
             a = int(self.start[m])
             np.cumsum(row, out=self.flat[a : a + m - 1])
+        # bisect reads Python floats from a memoryview about twice as fast
+        # as numpy scalars from the array
+        self._cells = memoryview(self.flat)
+
+    def draw_one(self, m: int, u: float) -> int:
+        """The left share min(bisect_right(cdf_m, u) + 1, m - 1) at one size m."""
+        if m > self.limit:
+            return int(self.draw(np.array([m]), np.array([u]))[0])
+        a = (m - 2) * (m - 1) // 2  # self.start[m]
+        # clamp: cumulative row can fall a few ulp short of 1
+        return min(bisect_right(self._cells, u, a, a + m - 1) - a + 1, m - 1)
 
     def draw(self, m: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Left shares min(bisect_right(cdf_m, u) + 1, m - 1), elementwise."""
@@ -256,7 +295,7 @@ def _level_drawer(
     if isinstance(kernel, BinomialKernel):
         p = kernel.p
         return lambda m, rng: 1 + rng.binomial(m - 2, p)
-    table = _CdfTable(kernel, min(n, PMF_CACHE_LIMIT))
+    table = _CdfTable(kernel, min(n, _TABLE_LIMIT))
     return lambda m, rng: table.draw(m, rng.random(m.size))
 
 

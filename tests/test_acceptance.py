@@ -6,6 +6,7 @@ here and nowhere else; a failure means the library broke a contract, not
 that a tolerance needs adjusting.
 """
 
+import itertools
 import math
 import time
 from collections import Counter
@@ -33,7 +34,7 @@ from treesource.kernels import (
     UniformKernel,
     tree_probability,
 )
-from treesource.sampling import mc_expected_height, sample_tree, sample_uniform_remy
+from treesource.sampling import mc_expected_height, sample_preorder, sample_uniform_remy
 from treesource.trees import enumerate_trees, shape_bits
 
 BUILTIN_KERNELS = [
@@ -63,11 +64,8 @@ def chi_square_pvalue(observed, expected):
 
 
 def shape_histogram(draw, replicates, seed):
-    rng = np.random.default_rng(seed)
-    counts = Counter()
-    for _ in range(replicates):
-        counts[shape_bits(draw(rng))] += 1
-    return counts
+    """Counts of the shape bits that draw(rng, replicates) yields for one seeded stream."""
+    return Counter(draw(np.random.default_rng(seed), replicates))
 
 
 def test_criterion_01_total_probability(criterion):
@@ -192,15 +190,24 @@ def test_criterion_09_sampler_distributions(criterion):
             expected = np.array(
                 [tree_probability(kernel, t)[0] * replicates for t in enumerate_trees(6)]
             )
+            # one call draws every tree from the one stream in turn
             counts = shape_histogram(
-                lambda rng: sample_tree(kernel, 6, rng), replicates, seed=2024
+                lambda rng, count: (
+                    bits for bits, _ in sample_preorder(kernel, 6, itertools.repeat(rng, count))
+                ),
+                replicates,
+                seed=2024,
             )
             observed = np.array([counts.get(s, 0) for s in shapes], dtype=float)
             pvalue = chi_square_pvalue(observed, expected)
             assert pvalue > CHI2_ALPHA, (kernel.describe(), pvalue)
             histograms[kernel.kind] = counts
         # leaf-growth sampler vs the Catalan kernel sampler, two-sample test
-        remy = shape_histogram(lambda rng: sample_uniform_remy(6, rng), replicates, seed=77)
+        remy = shape_histogram(
+            lambda rng, count: (shape_bits(sample_uniform_remy(6, rng)) for _ in range(count)),
+            replicates,
+            seed=77,
+        )
         table = np.array(
             [
                 [histograms["uniform"].get(s, 0) for s in shapes],

@@ -363,21 +363,6 @@ class TestVerifyCertificates:
         with pytest.raises(ValueError):
             verify_certificates(preset.kernel, preset.params, [0, 5])
 
-    def test_leaves_row_caches_as_found(self):
-        # membership rows come from one ascending walk, which caches nothing
-        preset = make_preset("bin-upper")
-        report = verify_certificates(preset.kernel, preset.params, preset.default_grid)
-        assert report.all_pass
-        assert len(preset.kernel._rows) == 0 and len(preset.kernel._cdfs) == 0
-
-        table = TableKernel({5: [0.1, 0.4, 0.4, 0.1]}, BinomialKernel(0.3))
-        table.split_pmf(40)  # a warm cache keeps exactly its rows
-        before = (set(table._rows), set(table.fallback._rows), set(table.fallback._cdfs))
-        params = UpperBoundedParams(c=2.0, alpha=0.5, n_min=2)
-        verify_certificates(table, params, [2, 5, 60, 300], mc_replicates=20)
-        after = (set(table._rows), set(table.fallback._rows), set(table.fallback._cdfs))
-        assert after == before
-
     def test_table_profile_needs_only_the_grid_sizes(self):
         # the scan takes one moment base per grid size, so the profile is asked
         # only at grid sizes, and the grid rows are those of a profile for all sizes

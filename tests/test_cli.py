@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from treesource import sampling
 from treesource.cli import main, parse_grid
 from treesource.kernels import (
     BinomialKernel,
@@ -227,6 +228,24 @@ class TestSample:
         for r, line in enumerate(out.strip().split("\n")[1:]):
             tree = sample_tree(kernel, 40, replicate_seed(11, r))
             assert line == f"{r},{shape_bits(tree)}"
+
+    @pytest.mark.parametrize("what", ["trees", "heights"])
+    def test_one_invocation_builds_one_table(self, capsys, monkeypatch, what):
+        built = []
+
+        class CountingTable(sampling._CdfTable):
+            def __init__(self, kernel, limit):
+                built.append(limit)
+                super().__init__(kernel, limit)
+
+        monkeypatch.setattr(sampling, "_CdfTable", CountingTable)
+        code, out, _ = run_cli(
+            capsys, "sample", "--kernel", "uniform", "--n", "60", "--replicates", "25",
+            "--what", what,
+        )
+        assert code == 0
+        assert len(out.strip().split("\n")) == 26
+        assert built == [60]
 
     def test_seed_changes_stream(self, capsys):
         _, a, _ = run_cli(capsys, "sample", "--kernel", "bst", "--n", "30",

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treesource import kernels
+from treesource import kernels, sampling
+from treesource.bounds import UpperBoundedParams, phi_balance, psi_envelope, verify_certificates
 from treesource.heights import expected_height_grid
 from treesource.kernels import (
     CLOSED_FORM_TOL,
@@ -26,7 +27,8 @@ from treesource.kernels import (
     tree_probability,
     validate_kernel,
 )
-from treesource.trees import enumerate_trees
+from treesource.sampling import mc_expected_height, sample_preorder
+from treesource.trees import enumerate_trees, tree_from_shape_bits
 
 
 class TestScalarValues:
@@ -109,6 +111,14 @@ class TestRows:
         for a, b in zip(lo, hi):
             assert a == pytest.approx(b, rel=1e-12)
 
+    def test_uniform_small_entries_are_correctly_rounded(self):
+        # int true division rounds correctly, as float(Fraction) does
+        k = UniformKernel()
+        for n in range(2, 31):
+            want = [float(k.sigma_exact(i, n - i)) for i in range(1, n)]
+            assert k.split_pmf(n).tolist() == want
+            assert [k.sigma(i, n - i) for i in range(1, n)] == want
+
     def test_uniform_large_row_still_normalized(self):
         row = UniformKernel().split_pmf(5000)
         assert abs(float(row.sum()) - 1.0) < 1e-10
@@ -116,15 +126,6 @@ class TestRows:
     def test_rejects_tiny_n(self):
         with pytest.raises(ValueError):
             BstKernel().split_pmf(1)
-
-    def test_cache_returns_shared_readonly_row(self):
-        k = BstKernel()
-        a = k.split_pmf(10)
-        b = k.split_pmf(10)
-        assert a is b
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a[0] = 0.5
 
     def test_split_cdf(self):
         for kernel in (BstKernel(), UniformKernel(), BinomialKernel(0.3)):
@@ -142,7 +143,7 @@ class TestRows:
         assert W[:, 0].sum() == 0.0
 
 
-# factories, so that every kernel starts with empty row caches
+# factories, so that every test starts from a new kernel
 PMF_MATRIX_KERNELS = {
     "bst": BstKernel,
     "uniform": UniformKernel,
@@ -164,28 +165,6 @@ class TestPmfMatrix:
             want[m, 1:m] = reference.split_pmf(m)
         assert np.array_equal(W, want)
 
-    @pytest.mark.parametrize("make", PMF_MATRIX_KERNELS.values(), ids=PMF_MATRIX_KERNELS)
-    def test_scan_leaves_row_caches_alone(self, make):
-        kernel = make()
-        caches = [kernel._rows]
-        if isinstance(kernel, TableKernel):
-            caches.append(kernel.fallback._rows)
-        kernel.split_pmf(5)
-        before = [len(c) for c in caches]
-        expected_height_grid(kernel, 60, tail_tol=0.0)
-        assert [len(c) for c in caches] == before
-
-    def test_cached_rows_are_used(self):
-        kernel = BstKernel()
-        kernel._rows[5] = np.array([0.1, 0.2, 0.3, 0.4])
-        assert np.array_equal(kernel.pmf_matrix(6)[5, 1:5], [0.1, 0.2, 0.3, 0.4])
-        fallback = BstKernel()
-        fallback._rows[6] = np.array([0.5, 0.0, 0.0, 0.0, 0.5])
-        table = TableKernel({4: [0.25, 0.5, 0.25]}, fallback)
-        W = table.pmf_matrix(6)
-        assert np.array_equal(W[6, 1:6], [0.5, 0.0, 0.0, 0.0, 0.5])
-        assert np.array_equal(W[4, 1:4], [0.25, 0.5, 0.25])
-
     @pytest.mark.parametrize(
         "make",
         [
@@ -196,10 +175,9 @@ class TestPmfMatrix:
         ],
         ids=["binomial", "table"],
     )
-    def test_rows_past_the_cache_limit(self, make, monkeypatch):
-        # single rows step from whichever cached row is nearest below, so
-        # the order asked decides the path; every path gives W's rows
-        monkeypatch.setattr(kernels, "PMF_CACHE_LIMIT", 16)
+    def test_rows_past_the_cache_limit(self, make):
+        # a single row and W's rows come from different walks; whatever
+        # the order asked, every single row is W's row
         n = 40
         W = make().pmf_matrix(n)
         shuffled = np.random.default_rng(7).permutation(np.arange(2, n + 1)).tolist()
@@ -209,8 +187,40 @@ class TestPmfMatrix:
                 assert np.array_equal(W[m, 1:m], kernel.split_pmf(m)), m
 
 
+@pytest.mark.parametrize("make", PMF_MATRIX_KERNELS.values(), ids=PMF_MATRIX_KERNELS)
+def test_consumers_leave_no_per_size_state(make, monkeypatch):
+    # kernels keep no rows: no consumer adds state to a kernel or to its
+    # fallback; only the uniform kernel's log-count table may grow
+    monkeypatch.setattr(sampling, "_TABLE_LIMIT", 40)  # draws above the flat table too
+    kernel = make()
+    owners = [kernel] + ([kernel.fallback] if isinstance(kernel, TableKernel) else [])
+
+    def state():
+        # a dict is copied, so an entry added to it in place shows too
+        return [
+            {
+                name: dict(value) if isinstance(value, dict) else value
+                for name, value in vars(k).items()
+                if name != "_log_counts"
+            }
+            for k in owners
+        ]
+
+    before = state()
+    expected_height_grid(kernel, 60, tail_tol=0.0)
+    params = UpperBoundedParams(c=2.0, alpha=0.5, n_min=2)
+    verify_certificates(kernel, params, [2, 5, 60, 300], mc_replicates=20)
+    mc_expected_height(kernel, 300, 100, seed=3)
+    shapes = [bits for bits, _ in sample_preorder(kernel, 300, range(3))]
+    for t in [tree_from_shape_bits(bits) for bits in shapes] + list(enumerate_trees(6)):
+        tree_probability(kernel, t)
+    psi_envelope(kernel, 300)
+    phi_balance(kernel, 300, 0.25)
+    assert state() == before
+
+
 class TestPascalSteps:
-    """Each binomial row costs one Pascal step, whichever order asks for it."""
+    """An ascending walk costs one Pascal step per size it passes."""
 
     @pytest.fixture
     def steps(self, monkeypatch):
@@ -228,31 +238,30 @@ class TestPascalSteps:
         BinomialKernel(0.3).pmf_matrix(300)
         assert steps[0] == 298
 
-    def test_cached_rows_are_stepped_once(self, steps, monkeypatch):
-        monkeypatch.setattr(kernels, "PMF_CACHE_LIMIT", 300)
-        kernel = BinomialKernel(0.3)
-        for n in np.random.default_rng(3).permutation(np.arange(2, 301)).tolist():
-            kernel.split_pmf(n)
-        assert steps[0] == 298
-
-    def test_ascending_past_the_cache(self, steps, monkeypatch):
-        monkeypatch.setattr(kernels, "PMF_CACHE_LIMIT", 50)
+    def test_ascending_past_the_cache(self, steps):
         assert validate_kernel(BinomialKernel(0.3), 400).passed
         assert steps[0] == 398
 
-    def test_cold_rows_above_the_cache(self, steps, monkeypatch):
-        # a row above the limit steps from the row at the limit, which the
-        # first one caches on its way, not from row 2
-        monkeypatch.setattr(kernels, "PMF_CACHE_LIMIT", 50)
+    def test_each_single_row_walks_from_row_two(self, steps):
+        # a kernel keeps no row, so every split_pmf(n) call costs n - 2 steps
         kernel = BinomialKernel(0.3)
         kernel.split_pmf(400)
         assert steps[0] == 398
-        assert sorted(kernel._rows) == list(range(3, 51))
         kernel.split_pmf(300)
-        assert steps[0] == 398 + 250
+        assert steps[0] == 398 + 298
+        kernel.split_pmf(300)
+        assert steps[0] == 398 + 2 * 298
+        kernel.split_pmf(2)
+        assert steps[0] == 398 + 2 * 298
 
-    def test_sigma_builds_no_row_above_the_cache(self, steps, monkeypatch):
-        monkeypatch.setattr(kernels, "PMF_CACHE_LIMIT", 50)
+    def test_listed_table_rows_take_no_step(self, steps):
+        table = TableKernel({4: [0.25, 0.5, 0.25], 400: [1.0] + [0.0] * 398}, BinomialKernel(0.3))
+        assert table.split_pmf(400)[0] == 1.0
+        assert steps[0] == 0
+        assert validate_kernel(table, 401).passed
+        assert steps[0] == 399  # the walk passes 400 but builds no row there
+
+    def test_sigma_builds_no_row_above_the_cache(self, steps):
         kernel = BinomialKernel(0.3)
         n = 10**6
         assert kernel.sigma(1, n - 1) == 0.0  # 0.7^(n-2) underflows
@@ -262,20 +271,16 @@ class TestPascalSteps:
         )
         assert kernel.sigma(30, 51) > 0.0
         assert steps[0] == 0
-        assert kernel._rows == {}
 
     def test_sigma_builds_no_row_below_the_cache(self, steps):
         kernel = BinomialKernel(0.3)
-        assert 4000 <= kernels.PMF_CACHE_LIMIT
         want = float(kernel.sigma_exact(1000, 3000))
         assert kernel.sigma(1000, 3000) == pytest.approx(want, rel=1e-12)
         assert steps[0] == 0
-        assert kernel._rows == {}
 
-    def test_shared_between_threads(self, monkeypatch):
-        # the cache is shared; every row handed out must still be the walk's
-        # row of the size asked for
-        monkeypatch.setattr(kernels, "PMF_CACHE_LIMIT", 30)
+    def test_shared_between_threads(self):
+        # the kernel is shared; every row handed out must still be the
+        # walk's row of the size asked for
         n = 120
         want = BinomialKernel(0.3).pmf_matrix(n)
         kernel = BinomialKernel(0.3)
@@ -346,8 +351,7 @@ def test_binomial_rows_match_exact(n, p):
 @pytest.mark.parametrize("p", [0.03, 0.3, 0.5, 0.97])
 @pytest.mark.parametrize("n", [3, 4, 5, 10, 17, 100, 2000, 8182, 20_000])
 def test_binomial_sigma_above_the_cache_matches_exact(n, p):
-    # sigma is evaluated directly at every size, below PMF_CACHE_LIMIT as
-    # well as above it, and never reads or builds a row
+    # sigma is evaluated directly at every size and never builds a row
     kernel = BinomialKernel(p)
     mode = round(p * (n - 2))
     ks = set(range(max(0, mode - 30), min(n - 1, mode + 31)))
@@ -356,7 +360,6 @@ def test_binomial_sigma_above_the_cache_matches_exact(n, p):
         if w >= 1e-300:
             got = kernel.sigma(k + 1, n - 1 - k)
             assert abs(got - w) <= 1e-12 * w, (k, got, w)
-    assert kernel._rows == {}
 
 
 @pytest.mark.parametrize("p", [0.03, 0.3, 0.97])

@@ -1,3 +1,4 @@
+import itertools
 import math
 from bisect import bisect_right
 from collections import Counter
@@ -6,10 +7,9 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from treesource import kernels, sampling
+from treesource import sampling
 from treesource.heights import height_cdf
 from treesource.kernels import (
-    PMF_CACHE_LIMIT,
     BinomialKernel,
     BstKernel,
     TableKernel,
@@ -17,6 +17,7 @@ from treesource.kernels import (
     tree_probability,
 )
 from treesource.sampling import (
+    _TABLE_LIMIT,
     MC_BLOCK,
     _block_heights,
     _CdfTable,
@@ -27,10 +28,19 @@ from treesource.sampling import (
     mix64,
     replicate_seed,
     sample_height,
+    sample_preorder,
+    sample_shape,
     sample_tree,
     sample_uniform_remy,
 )
-from treesource.trees import LEAF, count_trees, enumerate_trees, node, shape_bits
+from treesource.trees import (
+    LEAF,
+    count_trees,
+    enumerate_trees,
+    node,
+    shape_bits,
+    tree_from_shape_bits,
+)
 
 CHI2_ALPHA = 1e-4  # deterministic seeds; a failure means a real defect
 
@@ -39,20 +49,23 @@ def on_path(kernel, path):
     """The kernel itself ("auto"), or a kernel of the same law drawn by inverse CDF ("cdf").
 
     Every kernel's row 2 is [1.0], so listing it makes a table with the
-    fallback's rows at every size, and tables draw every share through
-    split_cdf.  A table already draws that way and is returned as is.
+    fallback's rows at every size, and tables draw every share from their
+    cumulative rows.  A table already draws that way and is returned as is.
     """
     if path == "auto" or isinstance(kernel, TableKernel):
         return kernel
     return TableKernel({2: [1.0]}, kernel)
 
 
+def kernel_shapes(kernel, n):
+    """draw(rng, count): shape bits of count trees drawn in turn from rng, one sample_preorder call."""
+    return lambda rng, count: (
+        bits for bits, _ in sample_preorder(kernel, n, itertools.repeat(rng, count))
+    )
+
+
 def shape_counts(draw, replicates, seed):
-    rng = np.random.default_rng(seed)
-    counts = Counter()
-    for _ in range(replicates):
-        counts[shape_bits(draw(rng))] += 1
-    return counts
+    return Counter(draw(np.random.default_rng(seed), replicates))
 
 
 def assert_matches_distribution(kernel, n, draw, replicates=6000, seed=7):
@@ -154,26 +167,91 @@ class TestSampleHeight:
             sample_height(BstKernel(), 0, 0)
 
 
+class TestSamplePreorder:
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            BstKernel(),
+            UniformKernel(),
+            BinomialKernel(0.3),
+            TableKernel({5: [0.1, 0.8, 0.1, 0.0]}, BinomialKernel(0.3)),
+        ],
+        ids=lambda k: k.describe(),
+    )
+    @pytest.mark.parametrize("n", [1, 2, 37, 300])
+    def test_equals_one_seed_at_a_time(self, kernel, n, monkeypatch):
+        # with the small limit, draws at sizes above 40 go past the flat table
+        monkeypatch.setattr(sampling, "_TABLE_LIMIT", 40)
+        seeds = [replicate_seed(3, r) for r in range(8)]
+        want = [(sample_shape(kernel, n, s), sample_height(kernel, n, s)) for s in seeds]
+        assert list(sample_preorder(kernel, n, seeds)) == want
+        for bits, height in want:
+            assert tree_from_shape_bits(bits).height == height
+
+    @pytest.mark.parametrize(
+        "kernel", [BstKernel(), UniformKernel(), BinomialKernel(0.3)], ids=lambda k: k.describe()
+    )
+    def test_one_generator_draws_the_trees_in_turn(self, kernel):
+        rng = np.random.default_rng(9)
+        want = [sample_shape(kernel, 40, rng) for _ in range(6)]
+        rng = np.random.default_rng(9)
+        got = [bits for bits, _ in sample_preorder(kernel, 40, itertools.repeat(rng, 6))]
+        assert got == want
+        assert len(set(got)) > 1
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            UniformKernel(),
+            TableKernel({5: [0.1, 0.8, 0.1, 0.0]}, UniformKernel()),
+            on_path(BinomialKernel(0.3), "cdf"),
+        ],
+        ids=lambda k: k.describe(),
+    )
+    def test_cdf_trees_take_one_uniform_per_inner_node(self, kernel, monkeypatch):
+        # the shares are split_cdf lookups of rng.random(), one per inner
+        # node in pre-order, in and above the flat table
+        monkeypatch.setattr(sampling, "_TABLE_LIMIT", 40)
+        rng = np.random.default_rng(12)
+        want = []
+        for _ in range(5):
+            bits, stack = [], [120]
+            while stack:
+                m = stack.pop()
+                bits.append("1" if m > 1 else "0")
+                if m > 1:
+                    k = scalar_draws(kernel, [m], [rng.random()])[0]
+                    stack += [m - k, k]
+            want.append("".join(bits))
+        rng = np.random.default_rng(12)
+        got = [bits for bits, _ in sample_preorder(kernel, 120, itertools.repeat(rng, 5))]
+        assert got == want
+
+    def test_checks_the_size_before_drawing(self):
+        with pytest.raises(ValueError, match="n >= 1"):
+            sample_preorder(UniformKernel(), 0, [])
+
+
 class TestDistributions:
     def test_bst_specialized(self):
         k = BstKernel()
-        assert_matches_distribution(k, 5, lambda rng: sample_tree(k, 5, rng))
+        assert_matches_distribution(k, 5, kernel_shapes(k, 5))
 
     def test_bst_cdf_strategy(self):
         k = on_path(BstKernel(), "cdf")
-        assert_matches_distribution(k, 5, lambda rng: sample_tree(k, 5, rng))
+        assert_matches_distribution(k, 5, kernel_shapes(k, 5))
 
     def test_binomial_specialized(self):
         k = BinomialKernel(0.3)
-        assert_matches_distribution(k, 5, lambda rng: sample_tree(k, 5, rng))
+        assert_matches_distribution(k, 5, kernel_shapes(k, 5))
 
     def test_binomial_cdf_strategy(self):
         k = on_path(BinomialKernel(0.3), "cdf")
-        assert_matches_distribution(k, 5, lambda rng: sample_tree(k, 5, rng))
+        assert_matches_distribution(k, 5, kernel_shapes(k, 5))
 
     def test_uniform_kernel_sampler(self):
         k = UniformKernel()
-        assert_matches_distribution(k, 5, lambda rng: sample_tree(k, 5, rng))
+        assert_matches_distribution(k, 5, kernel_shapes(k, 5))
 
     def test_table_rows_drive_draws(self):
         k = TableKernel({3: [1.0, 0.0]}, BstKernel())
@@ -205,7 +283,9 @@ class TestRemyGrowth:
         # independent oracle: growth never consults a split row, yet must
         # land on the same uniform shape law as the Catalan kernel
         k = UniformKernel()
-        assert_matches_distribution(k, 6, lambda rng: sample_uniform_remy(6, rng))
+        assert_matches_distribution(
+            k, 6, lambda rng, count: (shape_bits(sample_uniform_remy(6, rng)) for _ in range(count))
+        )
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -336,40 +416,19 @@ class TestVectorizedDraws:
 
     @pytest.mark.parametrize("kernel", [UniformKernel(), TIED_TABLE], ids=lambda k: k.describe())
     def test_rows_beyond_the_table(self, kernel):
-        # sizes above the flat table, one of them above the row cache too
+        # sizes above the flat table, one of them above the largest table too
         rng = np.random.default_rng(5)
         table = _CdfTable(kernel, 40)
         sizes = np.concatenate(
-            ([PMF_CACHE_LIMIT + 3] * 12, [41, 300, 7, 300] * 9, rng.integers(2, 120, size=500))
+            ([_TABLE_LIMIT + 3] * 12, [41, 300, 7, 300] * 9, rng.integers(2, 120, size=500))
         )
         u = edge_uniforms(kernel, sizes, rng)
-        assert np.array_equal(table.draw(sizes, u), scalar_draws(kernel, sizes, u))
-
-    @pytest.mark.parametrize("limit", [PMF_CACHE_LIMIT, 40])
-    @pytest.mark.parametrize(
-        "make",
-        [
-            UniformKernel,
-            lambda: on_path(BinomialKernel(0.3), "cdf"),
-            lambda: TableKernel({5: [0.1, 0.8, 0.1, 0.0]}, BinomialKernel(0.3)),
-        ],
-        ids=["uniform", "binomial", "table"],
-    )
-    def test_mc_leaves_row_caches_alone(self, make, limit, monkeypatch):
-        # with the small limit, most draws are of sizes above the flat table
-        monkeypatch.setattr(kernels, "PMF_CACHE_LIMIT", limit)
-        monkeypatch.setattr(sampling, "PMF_CACHE_LIMIT", limit)
-        kernel = make()
-        caches = [kernel._rows]
-        if isinstance(kernel, TableKernel):
-            caches.append(kernel.fallback._rows)
-        before = [len(c) for c in caches]
-        mc_expected_height(kernel, 300, 100, seed=3)
-        assert [len(c) for c in caches] == before
+        want = scalar_draws(kernel, sizes, u)
+        assert np.array_equal(table.draw(sizes, u), want)
+        assert [table.draw_one(int(m), float(x)) for m, x in zip(sizes, u)] == want.tolist()
 
     def test_large_binomial_rows_take_one_walk_per_level(self, monkeypatch):
         # sizes above the flat table share one ascending walk per draw
-        monkeypatch.setattr(kernels, "PMF_CACHE_LIMIT", 40)
         steps = [0]
         step = BinomialKernel._pascal_step
 
@@ -397,11 +456,10 @@ class TestVectorizedDraws:
         ],
         ids=["bst", "binomial", "uniform", "table"],
     )
-    @pytest.mark.parametrize("limit", [PMF_CACHE_LIMIT, 40])
+    @pytest.mark.parametrize("limit", [_TABLE_LIMIT, 40])
     def test_grid_matches_one_size_at_a_time(self, kernel, grid, limit, monkeypatch):
         # with the small limit the grid straddles the flat table's last row
-        monkeypatch.setattr(kernels, "PMF_CACHE_LIMIT", limit)
-        monkeypatch.setattr(sampling, "PMF_CACHE_LIMIT", limit)
+        monkeypatch.setattr(sampling, "_TABLE_LIMIT", limit)
         got = mc_expected_height_grid(kernel, grid[::-1] + grid[:1], 300, seed=8)
         assert list(got) == list(grid)
         for n in grid:
