@@ -52,6 +52,28 @@ def scan_layers(monkeypatch):
 
 
 @pytest.fixture
+def kernel_state():
+    """What a kernel and its table fallback hold, minus uniform's log-count table.
+
+    Kernels keep no rows, so a consumer leaves this as it found it; a dict is
+    copied, so an entry added to one in place shows too.
+    """
+
+    def state(kernel):
+        owners = [kernel] + ([kernel.fallback] if isinstance(kernel, TableKernel) else [])
+        return [
+            {
+                name: dict(value) if isinstance(value, dict) else value
+                for name, value in vars(k).items()
+                if name != "_log_counts"
+            }
+            for k in owners
+        ]
+
+    return state
+
+
+@pytest.fixture
 def comb_kernel():
     """Size 12 splits 6 | 6 and size 6 splits 3 | 3, so H_12 is always 4,
     while size 10 always splits 1 | 9 and its height reaches 9."""

@@ -363,6 +363,20 @@ class TestVerifyCertificates:
         with pytest.raises(ValueError):
             verify_certificates(preset.kernel, preset.params, [0, 5])
 
+    def test_leaves_row_caches_as_found(self, kernel_state):
+        # membership rows come from one ascending walk, which keeps nothing
+        preset = make_preset("bin-upper")
+        before = kernel_state(preset.kernel)
+        report = verify_certificates(preset.kernel, preset.params, preset.default_grid)
+        assert report.all_pass
+        assert kernel_state(preset.kernel) == before
+
+        table = TableKernel({5: [0.1, 0.4, 0.4, 0.1]}, BinomialKernel(0.3))
+        before = kernel_state(table)
+        params = UpperBoundedParams(c=2.0, alpha=0.5, n_min=2)
+        verify_certificates(table, params, [2, 5, 60, 300], mc_replicates=20)
+        assert kernel_state(table) == before
+
     def test_table_profile_needs_only_the_grid_sizes(self):
         # the scan takes one moment base per grid size, so the profile is asked
         # only at grid sizes, and the grid rows are those of a profile for all sizes

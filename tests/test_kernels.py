@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treesource import kernels, sampling
-from treesource.bounds import UpperBoundedParams, phi_balance, psi_envelope, verify_certificates
+from treesource.bounds import phi_balance, psi_envelope
 from treesource.heights import expected_height_grid
 from treesource.kernels import (
     CLOSED_FORM_TOL,
@@ -27,7 +27,7 @@ from treesource.kernels import (
     tree_probability,
     validate_kernel,
 )
-from treesource.sampling import mc_expected_height, sample_preorder
+from treesource.sampling import sample_preorder
 from treesource.trees import enumerate_trees, tree_from_shape_bits
 
 
@@ -186,37 +186,27 @@ class TestPmfMatrix:
             for m in order:
                 assert np.array_equal(W[m, 1:m], kernel.split_pmf(m)), m
 
+    @pytest.mark.parametrize("make", PMF_MATRIX_KERNELS.values(), ids=PMF_MATRIX_KERNELS)
+    def test_scan_leaves_row_caches_alone(self, make, kernel_state):
+        # kernels keep no rows, and the scan adds none
+        kernel = make()
+        before = kernel_state(kernel)
+        expected_height_grid(kernel, 60, tail_tol=0.0)
+        assert kernel_state(kernel) == before
+
 
 @pytest.mark.parametrize("make", PMF_MATRIX_KERNELS.values(), ids=PMF_MATRIX_KERNELS)
-def test_consumers_leave_no_per_size_state(make, monkeypatch):
-    # kernels keep no rows: no consumer adds state to a kernel or to its
-    # fallback; only the uniform kernel's log-count table may grow
+def test_consumers_leave_no_per_size_state(make, kernel_state, monkeypatch):
+    # the scan, verify_certificates and Monte Carlo have tests of their own
     monkeypatch.setattr(sampling, "_TABLE_LIMIT", 40)  # draws above the flat table too
     kernel = make()
-    owners = [kernel] + ([kernel.fallback] if isinstance(kernel, TableKernel) else [])
-
-    def state():
-        # a dict is copied, so an entry added to it in place shows too
-        return [
-            {
-                name: dict(value) if isinstance(value, dict) else value
-                for name, value in vars(k).items()
-                if name != "_log_counts"
-            }
-            for k in owners
-        ]
-
-    before = state()
-    expected_height_grid(kernel, 60, tail_tol=0.0)
-    params = UpperBoundedParams(c=2.0, alpha=0.5, n_min=2)
-    verify_certificates(kernel, params, [2, 5, 60, 300], mc_replicates=20)
-    mc_expected_height(kernel, 300, 100, seed=3)
+    before = kernel_state(kernel)
     shapes = [bits for bits, _ in sample_preorder(kernel, 300, range(3))]
     for t in [tree_from_shape_bits(bits) for bits in shapes] + list(enumerate_trees(6)):
         tree_probability(kernel, t)
     psi_envelope(kernel, 300)
     phi_balance(kernel, 300, 0.25)
-    assert state() == before
+    assert kernel_state(kernel) == before
 
 
 class TestPascalSteps:

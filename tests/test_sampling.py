@@ -427,6 +427,24 @@ class TestVectorizedDraws:
         assert np.array_equal(table.draw(sizes, u), want)
         assert [table.draw_one(int(m), float(x)) for m, x in zip(sizes, u)] == want.tolist()
 
+    @pytest.mark.parametrize("limit", [_TABLE_LIMIT, 40])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            UniformKernel,
+            lambda: on_path(BinomialKernel(0.3), "cdf"),
+            lambda: TableKernel({5: [0.1, 0.8, 0.1, 0.0]}, BinomialKernel(0.3)),
+        ],
+        ids=["uniform", "binomial", "table"],
+    )
+    def test_mc_leaves_row_caches_alone(self, make, limit, kernel_state, monkeypatch):
+        # with the small limit, most draws are of sizes above the flat table
+        monkeypatch.setattr(sampling, "_TABLE_LIMIT", limit)
+        kernel = make()
+        before = kernel_state(kernel)
+        mc_expected_height(kernel, 300, 100, seed=3)
+        assert kernel_state(kernel) == before
+
     def test_large_binomial_rows_take_one_walk_per_level(self, monkeypatch):
         # sizes above the flat table share one ascending walk per draw
         steps = [0]
