@@ -32,11 +32,10 @@ from .bounds import (
     verify_certificates,
 )
 from .heights import (
-    DEFAULT_MEM_BUDGET,
     DEFAULT_TAIL_TOL,
     ScanBudgetError,
-    _grid_scan,
     expected_height,
+    expected_heights,
     height_cdf,
 )
 from .kernels import (
@@ -252,7 +251,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
         _emit(f"{expected_height(kernel, args.n, args.tail_tol):.16g}", manifest)
         return 0
     grid = manifest.grid
-    values = _grid_scan(kernel, grid, args.tail_tol, DEFAULT_MEM_BUDGET)[0]
+    values = expected_heights(kernel, grid, args.tail_tol)
     lines = ["n,expected_height"]
     for n, value in zip(grid, values):
         lines.append(f"{n},{_fmt(value)}")

@@ -16,6 +16,17 @@ height is a plain sum of them, and exponential moments become
 E(b^H) = 1 + (b-1) * sum_h b^h S_h, so deep tails are never formed by
 subtracting nearly equal doubles and then amplified by b^h.
 
+A kernel that declares mirror symmetry, sigma(k, m-k) == sigma(m-k, k) bit
+for bit (bst and uniform), has its W folded onto the half k <= m/2 right
+after it is built: the terms at k and m-k are equal, so each layer sums one
+of them and doubles (see _fold_rows).  A block then reads half the columns
+and does half the flops.  W keeps its dense (n+1)^2 storage, so the memory
+budget, the ceiling it sets and pmf_matrix's layout are the same for every
+kernel.  Folding reorders sums, so bst and uniform survivals, E(H) and
+moments differ from an unfolded scan's in the last bits: by at most 3.6e-14
+relative on survivals above 1e-300 and 5e-15 on E(H), over sizes to 3000
+for both and 8000 for bst.  Binomial and table kernels are not folded.
+
 One pass answers exactly the sizes asked: every exact entry point scans to
 the largest of them, accumulates E(H_m) and the moments at those sizes only,
 and ends once each has met its stop rule.  Moments are accumulated in log
@@ -57,6 +68,7 @@ __all__ = [
     "survival_layers",
     "height_cdf",
     "expected_height",
+    "expected_heights",
     "expected_height_grid",
     "exp_moment",
     "exp_moment_grid",
@@ -128,6 +140,11 @@ def survival_layers(
             f"budget is {mem_budget >> 20} MiB"
         )
     W = kernel.pmf_matrix(n)
+    # a mirror-symmetric row is folded onto its half k <= m/2, so a block
+    # reads columns 1..(m1-1)//fold only and holds fold times as many rows
+    fold = 2 if kernel.symmetric else 1
+    if fold == 2:
+        _fold_rows(W)
     scratch = np.empty(cap)
     S = np.ones(n + 1)
     S[0] = 0.0
@@ -149,16 +166,20 @@ def survival_layers(
             np.subtract(1.0, S, out=one_minus)
             m0 = lo
             while m0 <= hi:
-                # rows [m0, m1) against columns 1..m1-1, the only ones where
-                # the strictly lower-triangular W is nonzero; r * (m1-1) <= cap
-                r = (math.isqrt((m0 - 1) ** 2 + 4 * cap) - (m0 - 1)) // 2
+                # rows [m0, m1) against columns 1..c-1, the only ones where
+                # the strictly lower-triangular (or folded) W is nonzero, and
+                # r * (m0-1+r) <= fold * cap, so r * (c-1) <= cap
+                r = (math.isqrt((m0 - 1) ** 2 + 4 * fold * cap) - (m0 - 1)) // 2
                 m1 = min(m0 + r, hi + 1)
-                Wb = W[m0:m1, 1:m1]
+                c = (m1 - 1) // fold + 1
+                Wb = W[m0:m1, 1:c]
                 WT = scratch[: Wb.size].reshape(Wb.shape)
-                np.multiply(Wb, windows[n - m1 + 1 : n - m0 + 1][::-1, 1:m1], out=WT)
+                np.multiply(Wb, windows[n - m1 + 1 : n - m0 + 1][::-1, 1:c], out=WT)
                 block = new[m0:m1]
-                np.matmul(Wb, S[1:m1], out=block)
-                block += WT @ one_minus[1:m1]
+                np.matmul(Wb, S[1:c], out=block)
+                block += WT @ one_minus[1:c]
+                if fold == 2:
+                    block *= 2.0
                 m0 = m1
             # no term is negative; rounding can only overshoot 1
             np.minimum(new[lo : hi + 1], 1.0, out=new[lo : hi + 1])
@@ -167,6 +188,24 @@ def survival_layers(
         if h >= n - 1:
             return
         h += 1
+
+
+def _fold_rows(W: np.ndarray) -> None:
+    """Fold each mirror-symmetric row of W onto k <= m/2, in place.
+
+    Row m's terms at k and m-k are equal, so their sum is
+    2 * sigma * (S[k] + S[m-k] * (1 - S[k])), still nonnegative.  Entries
+    k > m/2 become 0 and the middle entry of an even m is halved, and the
+    layer doubles each block's sums.  Doubling the sums rather than the
+    entries gives the same bits wherever no product is subnormal, and the
+    products off the middle are the unfolded scan's own sigma * S, so they
+    underflow to 0 where its products do: at n = 1000, over every layer,
+    bst and uniform survivals are 0 at exactly the unfolded scan's entries.
+    """
+    for m in range(2, len(W)):
+        if m % 2 == 0:
+            W[m, m // 2] *= 0.5
+        W[m, m // 2 + 1 : m] = 0.0
 
 
 @dataclass(frozen=True)
@@ -226,6 +265,22 @@ def expected_height(
 ) -> float:
     """E(H_n) as the truncated sum of survivals."""
     return float(_grid_scan(kernel, [n], tail_tol, mem_budget)[0][0])
+
+
+def expected_heights(
+    kernel: SplitKernel,
+    sizes: Sequence[int],
+    tail_tol: float = DEFAULT_TAIL_TOL,
+    mem_budget: int = DEFAULT_MEM_BUDGET,
+) -> np.ndarray:
+    """E(H_m) for each of the given sizes m >= 1, in their order, from one scan.
+
+    The scan runs to the largest size, and each size stops accumulating at
+    its own truncation layer, as expected_height(kernel, m, tail_tol) does.
+    """
+    if len(sizes) == 0 or min(sizes) < 1:
+        raise ValueError("need at least one size, every size >= 1")
+    return _grid_scan(kernel, sizes, tail_tol, mem_budget)[0]
 
 
 def expected_height_grid(

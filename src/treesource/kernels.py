@@ -105,6 +105,11 @@ class SplitKernel:
 
     kind: str = "abstract"
 
+    # True only where sigma(k, m-k) == sigma(m-k, k) bit for bit in every row
+    # the kernel builds; the scan then folds each row onto its half k <= m/2.
+    # A kernel declares it: the scan never tests rows for symmetry.
+    symmetric: bool = False
+
     # --- scalar interface -------------------------------------------------
 
     def sigma(self, i: int, j: int) -> float:
@@ -172,6 +177,7 @@ class BstKernel(SplitKernel):
     """Uniform split position: sigma(i, j) = 1/(i + j - 1)."""
 
     kind = "bst"
+    symmetric = True
 
     def sigma(self, i: int, j: int) -> float:
         n = _check_pair(i, j)
@@ -199,6 +205,9 @@ class UniformKernel(SplitKernel):
     """
 
     kind = "uniform"
+    # entries are count products or exp(lt[k] + lt[m-k] - lt[m]), and both
+    # commute bit for bit
+    symmetric = True
 
     def __init__(self):
         self._log_counts = np.zeros(2)
@@ -243,6 +252,11 @@ class BinomialKernel(SplitKernel):
     """Left size is 1 + Binomial(n-2, p); p = 1/2 gives the most balanced rows."""
 
     kind = "binomial"
+    # not even at p = 1/2: Pascal steps round row entries and their mirrors
+    # along different paths, and they differ by up to 2.5e-15 relative;
+    # folding would replace each entry above m/2 by its mirror, so the scan
+    # would run on other rows, not merely add the same terms in another order
+    symmetric = False
 
     def __init__(self, p: float):
         if not 0.0 < p < 1.0:

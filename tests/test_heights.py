@@ -18,6 +18,7 @@ from treesource.heights import (
     exp_moment_grid,
     expected_height,
     expected_height_grid,
+    expected_heights,
     height_cdf,
     survival_layers,
 )
@@ -301,6 +302,24 @@ class TestOnePass:
             exp_moment_grid(k, 10, 2.0, tol)
 
 
+class TestExpectedHeights:
+    @pytest.mark.parametrize("kernel, n", ONE_PASS_KERNELS.values(), ids=ONE_PASS_KERNELS)
+    def test_each_size_equals_expected_height(self, kernel, n):
+        n = min(n, 500)
+        sizes = [1, 2, 3, 17, n // 2, n]
+        for m in sizes:
+            assert expected_heights(kernel, [m]).tolist() == [expected_height(kernel, m)]
+        # one pass over every size is the grid's scan, summed in the same order
+        shared = expected_heights(kernel, sizes)
+        assert shared.tolist() == expected_height_grid(kernel, n)[sizes].tolist()
+        assert shared[-1] == expected_height(kernel, n)
+
+    def test_rejects_no_size_and_size_zero(self):
+        for sizes in ([], [0, 5]):
+            with pytest.raises(ValueError, match="size"):
+                expected_heights(BstKernel(), sizes)
+
+
 class TestBruteForce:
     def test_exact_rationals(self):
         assert brute_expected_height(BstKernel(), 4) == Fraction(8, 3)
@@ -437,7 +456,9 @@ def test_scan_matches_exact_reference(kernel):
 # Block scratch sizes that split n = 16 into row blocks: 8 bytes leaves one
 # row's width (16 entries), so blocks of 1-2 rows; 200 bytes (25 entries)
 # gives blocks of 1-3 rows, and at h = 3 the block [8, 10) is cut at the
-# 2^h = 8 boundary.
+# 2^h = 8 boundary.  Folded rows (bst, uniform) are half as wide, so the
+# blocks hold 2-4 and 3-5 rows.  Many end on an even row, whose middle
+# column is the block's last one, and at h = 3 the block [5, 9) is cut at 8.
 SMALL_BLOCKS = [8, 200]
 
 
@@ -481,6 +502,28 @@ def test_scan_matches_dense_recurrence(kernel):
         big = ref > SURVIVAL_FLOOR
         rel = np.abs(S[big] - ref[big]) / ref[big]
         assert rel.max(initial=0.0) <= EXACT_REL_TOL, f"h={h}: rel err {rel.max():.3e}"
+
+
+def unfolded(kernel):
+    """The same kernel with its symmetry undeclared, so the scan reads whole rows."""
+    return type("Unfolded", (type(kernel),), {"symmetric": False})()
+
+
+@pytest.mark.parametrize("kernel", [BstKernel(), UniformKernel()], ids=["bst", "uniform"])
+def test_folded_scan_matches_unfolded_scan(kernel):
+    # every layer, untruncated: the deepest survivals underflow, and the fold
+    # must leave them 0 exactly where the unfolded scan does
+    n = 1000
+    assert kernel.symmetric and not unfolded(kernel).symmetric
+    layers = 0
+    for (h, S), (_, ref) in zip(survival_layers(kernel, n), survival_layers(unfolded(kernel), n)):
+        layers += 1
+        assert np.array_equal(S == 0.0, ref == 0.0), f"zero pattern differs at h={h}"
+        assert np.all(S[2**h + 1 :] == 1.0), f"h={h}: rows above 2^h are not exactly 1"
+        big = ref > SURVIVAL_FLOOR
+        rel = np.abs(S[big] - ref[big]) / ref[big]
+        assert rel.max(initial=0.0) <= EXACT_REL_TOL, f"h={h}: rel err {rel.max():.3e}"
+    assert layers == n
 
 
 @st.composite
