@@ -154,7 +154,9 @@ class SplitKernel:
     def pmf_matrix(self, n: int) -> np.ndarray:
         """Dense (n+1) x (n+1) matrix W with W[m, k] = sigma(k, m-k).
 
-        The rows come from one ascending walk.
+        The rows come from one ascending walk.  The survival scan does not
+        call this: it keeps W as row-block panels built from the same walk
+        (see heights).  The dense layout stays as a reference.
         """
         W = np.zeros((n + 1, n + 1))
         for m, row in enumerate(self._ascending_rows(range(2, n + 1)), 2):

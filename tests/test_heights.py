@@ -28,6 +28,24 @@ KERNELS = [BstKernel(), UniformKernel(), BinomialKernel(0.3), BinomialKernel(0.5
 IDS = [k.describe() for k in KERNELS]
 
 
+# The largest sizes the default budget admits.  Folded kernels (bst,
+# uniform) store half of each row, so their panels reach further.
+FOLDED_CEILING = 16341
+UNFOLDED_CEILING = 11557
+
+
+def scan_admits(kernel, n):
+    """Whether a scan at n yields its first layer under the default budget."""
+    layers = survival_layers(kernel, n)
+    try:
+        next(layers)
+    except ScanBudgetError:
+        return False
+    finally:
+        layers.close()
+    return True
+
+
 class TestSurvivalLayers:
     def test_layer_count_and_final_zero(self):
         layers = list(survival_layers(BstKernel(), 6))
@@ -81,6 +99,66 @@ class TestSurvivalLayers:
         assert peak <= budget, f"n={n}: traced peak {peak} B over budget {budget} B"
         with pytest.raises(ScanBudgetError):
             next(survival_layers(kernel, n + 1, mem_budget=budget))
+
+    @pytest.mark.parametrize(
+        "kernel, ceiling",
+        [
+            (BstKernel(), FOLDED_CEILING),
+            (UniformKernel(), FOLDED_CEILING),
+            (BinomialKernel(0.3), UNFOLDED_CEILING),
+            (TableKernel({4: [0.25, 0.5, 0.25]}, BinomialKernel(0.3)), UNFOLDED_CEILING),
+        ],
+        ids=["bst", "uniform", "binomial", "table"],
+    )
+    def test_default_budget_ceiling(self, kernel, ceiling):
+        assert scan_admits(kernel, ceiling)
+        assert not scan_admits(kernel, ceiling + 1)
+
+    @pytest.mark.parametrize("kernel", [BstKernel(), UniformKernel()], ids=["bst", "uniform"])
+    def test_first_layer_builds_no_panel(self, kernel):
+        # h = 0 has no live row (every row is 0 or 1), so no split row is
+        # built: the first layer allocates O(n) even at the ceiling
+        n = FOLDED_CEILING
+        tracemalloc.start()
+        try:
+            layers = survival_layers(kernel, n)
+            h, S = next(layers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        layers.close()
+        assert h == 0 and S[:2].tolist() == [0.0, 0.0] and np.all(S[2:] == 1.0)
+        assert peak < 4 << 20, f"first layer traced peak {peak} B"
+
+    def test_panels_are_built_as_layers_reach_them(self):
+        pulled = []
+
+        class Counting(BstKernel):
+            def _ascending_rows(self, sizes):
+                for m, row in zip(sizes, super()._ascending_rows(sizes)):
+                    pulled.append(m)
+                    yield row
+
+        n = 3000
+        blocks = heights._row_blocks(n, 2, max(heights._BLOCK_BYTES // 8, n))
+        for h, _ in survival_layers(Counting(), n):
+            # layers 0 and 1 have no live row; later ones build every panel
+            # up to the one that holds row 2^h, and no further
+            top = 1 if h < 2 else next(m1 - 1 for m0, m1 in blocks if m0 <= min(n, 2**h) < m1)
+            assert pulled == list(range(2, top + 1)), f"h={h}"
+            if top == n:
+                break
+
+    @pytest.mark.parametrize("n", [FOLDED_CEILING + 1, 10**9])
+    def test_refused_scan_allocates_nothing_large(self, n):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ScanBudgetError):
+                next(survival_layers(BstKernel(), n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 << 10, f"n={n}: refusal traced peak {peak} B"
 
     def test_budget_guard(self):
         with pytest.raises(ScanBudgetError, match="MiB"):
@@ -453,12 +531,12 @@ def test_scan_matches_exact_reference(kernel):
     assert_matches_exact_scan(kernel, 16)
 
 
-# Block scratch sizes that split n = 16 into row blocks: 8 bytes leaves one
-# row's width (16 entries), so blocks of 1-2 rows; 200 bytes (25 entries)
-# gives blocks of 1-3 rows, and at h = 3 the block [8, 10) is cut at the
-# 2^h = 8 boundary.  Folded rows (bst, uniform) are half as wide, so the
-# blocks hold 2-4 and 3-5 rows.  Many end on an even row, whose middle
-# column is the block's last one, and at h = 3 the block [5, 9) is cut at 8.
+# Block scratch sizes that cut rows 2..16 into small panels: 8 bytes leaves
+# one row's width (16 entries) and 200 bytes 25, so unfolded panels hold 1-4
+# rows and folded ones (bst, uniform) 1-6.  Layers slice panels at both
+# ends: at h = 2 only row 4 is live, inside the first panel, and at h = 3 the
+# folded panels [7, 10) and [8, 12) are cut at the 2^h = 8 boundary.  Four
+# folded panels end on an even row, whose middle column is the panel's last.
 SMALL_BLOCKS = [8, 200]
 
 
@@ -467,6 +545,21 @@ SMALL_BLOCKS = [8, 200]
 def test_blocked_scan_matches_exact_reference(kernel, block_bytes, monkeypatch):
     monkeypatch.setattr(heights, "_BLOCK_BYTES", block_bytes)
     assert_matches_exact_scan(kernel, 16)
+
+
+@pytest.mark.parametrize("block_bytes", SMALL_BLOCKS + [heights._BLOCK_BYTES])
+@pytest.mark.parametrize("fold", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 720, 3000])
+def test_row_blocks_tile_rows_and_fit_the_scratch(n, fold, block_bytes):
+    cap = max(block_bytes // 8, n)
+    blocks = heights._row_blocks(n, fold, cap)
+    # consecutive, nonempty, from row 2 up to row n with no gap or overlap
+    starts = [m0 for m0, _ in blocks] + [n + 1]
+    assert starts[0] == min(2, n + 1)
+    assert [m1 for _, m1 in blocks] == starts[1:]
+    assert all(m1 > m0 for m0, m1 in blocks)
+    for m0, m1 in blocks:
+        assert (m1 - m0) * ((m1 - 1) // fold) <= cap, (m0, m1)
 
 
 def dense_survival_layers(kernel, n, layers):
