@@ -203,8 +203,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     kernel = _resolve_kernel(args)
-    if args.n < 1:
-        raise ValueError(f"need n >= 1, got {args.n}")
     if args.replicates < 1:
         raise ValueError(f"need replicates >= 1, got {args.replicates}")
     heights = args.what == "heights"

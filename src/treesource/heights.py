@@ -148,8 +148,9 @@ def survival_layers(
         blocks = _row_blocks(n, fold, cap)
         need = 8 * (sum((m1 - m0) * ((m1 - 1) // fold) for m0, m1 in blocks) + work)
     if need > mem_budget:
+        # rounded up, so a refusal never reads as a need within the budget
         raise ScanBudgetError(
-            f"scan at n={n} needs ~{need >> 20} MiB for the split-matrix panels and work "
+            f"scan at n={n} needs ~{-(-need >> 20)} MiB for the split-matrix panels and work "
             f"space, budget is {mem_budget >> 20} MiB"
         )
     rows = kernel._ascending_rows(range(2, n + 1))

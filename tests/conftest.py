@@ -53,7 +53,7 @@ def scan_layers(monkeypatch):
 
 @pytest.fixture
 def kernel_state():
-    """What a kernel and its table fallback hold, minus uniform's log-count table.
+    """What a kernel and its table fallback hold, minus uniform's scaled-Catalan table.
 
     Kernels keep no rows, so a consumer leaves this as it found it; a dict is
     copied, so an entry added to one in place shows too.
@@ -65,7 +65,7 @@ def kernel_state():
             {
                 name: dict(value) if isinstance(value, dict) else value
                 for name, value in vars(k).items()
-                if name != "_log_counts"
+                if name != "_catalan"
             }
             for k in owners
         ]

@@ -259,6 +259,7 @@ class TestSample:
             capsys, "sample", "--kernel", "bst", "--n", "0", "--replicates", "5"
         )
         assert code == 1
+        assert err == "treesource: error: need n >= 1, got 0\n"
 
     def test_rejects_zero_replicates(self, capsys):
         code, out, err = run_cli(

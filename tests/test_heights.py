@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -83,8 +84,9 @@ class TestSurvivalLayers:
             mid = (lo + hi) // 2
             lo, hi = (mid, hi) if admits(mid) else (lo, mid)
         n = lo
-        # warm state that outlives a scan (the uniform kernel's log-count
-        # table), then trace a whole scan at the ceiling
+        # warm state that outlives a scan, then trace a whole scan at the
+        # ceiling; a first layer builds no row, so the uniform kernel's
+        # scaled-Catalan table is still built, and traced, inside the scan
         next(survival_layers(kernel, n, mem_budget=budget))
         tracemalloc.start()
         try:
@@ -113,6 +115,21 @@ class TestSurvivalLayers:
     def test_default_budget_ceiling(self, kernel, ceiling):
         assert scan_admits(kernel, ceiling)
         assert not scan_admits(kernel, ceiling + 1)
+
+    @pytest.mark.parametrize(
+        "kernel, n",
+        [(BstKernel(), FOLDED_CEILING + 1), (BinomialKernel(0.3), UNFOLDED_CEILING + 1)],
+        ids=["bst", "binomial"],
+    )
+    def test_refusal_states_a_need_above_the_budget(self, kernel, n):
+        with pytest.raises(ScanBudgetError) as exc:
+            next(survival_layers(kernel, n))
+        match = re.fullmatch(
+            rf"scan at n={n} needs ~(\d+) MiB for the split-matrix panels and work space, "
+            r"budget is 512 MiB",
+            str(exc.value),
+        )
+        assert match and int(match[1]) > 512, str(exc.value)
 
     @pytest.mark.parametrize("kernel", [BstKernel(), UniformKernel()], ids=["bst", "uniform"])
     def test_first_layer_builds_no_panel(self, kernel):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treesource import kernels, sampling
+from treesource import sampling
 from treesource.bounds import phi_balance, psi_envelope
 from treesource.heights import expected_height_grid
 from treesource.kernels import (
@@ -28,7 +28,7 @@ from treesource.kernels import (
     validate_kernel,
 )
 from treesource.sampling import sample_preorder
-from treesource.trees import enumerate_trees, tree_from_shape_bits
+from treesource.trees import count_trees, enumerate_trees, tree_from_shape_bits
 
 
 class TestScalarValues:
@@ -100,17 +100,6 @@ class TestRows:
             for i in range(1, 9):
                 assert row[i - 1] == pytest.approx(kernel.sigma(i, 9 - i), rel=1e-12)
 
-    def test_uniform_exact_log_crossover(self, monkeypatch):
-        # rows from the big-integer path and the log path must agree where
-        # both are available
-        sizes = (6, 12, 25, 40)
-        monkeypatch.setattr(kernels, "UNIFORM_EXACT_LIMIT", 5)
-        lo = [UniformKernel().split_pmf(n) for n in sizes]
-        monkeypatch.setattr(kernels, "UNIFORM_EXACT_LIMIT", 40)
-        hi = [UniformKernel().split_pmf(n) for n in sizes]
-        for a, b in zip(lo, hi):
-            assert a == pytest.approx(b, rel=1e-12)
-
     def test_uniform_small_entries_are_correctly_rounded(self):
         # int true division rounds correctly, as float(Fraction) does
         k = UniformKernel()
@@ -120,8 +109,30 @@ class TestRows:
             assert [k.sigma(i, n - i) for i in range(1, n)] == want
 
     def test_uniform_large_row_still_normalized(self):
-        row = UniformKernel().split_pmf(5000)
-        assert abs(float(row.sum()) - 1.0) < 1e-10
+        row = UniformKernel().split_pmf(16341)
+        assert abs(float(row.sum()) - 1.0) <= CLOSED_FORM_TOL
+
+    @pytest.mark.parametrize("m", [32, 1000, 3162, 8000, 16341])
+    def test_uniform_entries_against_exact_counts(self, m):
+        # the quotient of exact tree counts is the reference at every size
+        row = UniformKernel().split_pmf(m)
+        assert abs(float(row.sum()) - 1.0) <= CLOSED_FORM_TOL
+        t_m = count_trees(m)
+        for k in (1, 2, m // 4, m // 2):
+            exact = Fraction(count_trees(k) * count_trees(m - k), t_m)
+            assert abs(Fraction(float(row[k - 1])) / exact - 1) <= 1e-13, k
+
+    @pytest.mark.parametrize("make", [BstKernel, UniformKernel], ids=["bst", "uniform"])
+    def test_sigma_is_the_row_entry(self, make):
+        kernel = make()
+        for m in (2, 3, 17, 31, 32, 33, 100, 777, 1024, 1025, 3162, 5000):
+            row = kernel.split_pmf(m)
+            assert [kernel.sigma(i, m - i) for i in range(1, m)] == row.tolist(), m
+
+    def test_uniform_rows_do_not_depend_on_earlier_sizes(self):
+        warm = UniformKernel()
+        warm.split_pmf(20000)
+        assert np.array_equal(UniformKernel().split_pmf(5000), warm.split_pmf(5000))
 
     def test_rejects_tiny_n(self):
         with pytest.raises(ValueError):
@@ -157,7 +168,7 @@ PMF_MATRIX_KERNELS = {
 class TestPmfMatrix:
     @pytest.mark.parametrize("make", PMF_MATRIX_KERNELS.values(), ids=PMF_MATRIX_KERNELS)
     def test_rows_are_split_pmf_rows(self, make):
-        n = 40  # past UNIFORM_EXACT_LIMIT
+        n = 40
         W = make().pmf_matrix(n)
         reference = make()
         want = np.zeros((n + 1, n + 1))
@@ -197,14 +208,13 @@ class TestPmfMatrix:
 
 class TestMirrorSymmetry:
     # the scan folds the rows of a kernel that declares symmetry, so the
-    # declaration must hold bit for bit, on both sides of UNIFORM_EXACT_LIMIT
+    # declaration must hold bit for bit
     N = 2100
 
     @pytest.mark.parametrize("make", [BstKernel, UniformKernel], ids=["bst", "uniform"])
     def test_declared_rows_equal_their_mirror(self, make):
         kernel = make()
         assert kernel.symmetric
-        assert self.N > kernels.UNIFORM_EXACT_LIMIT
         for m in range(2, self.N + 1):
             row = kernel.split_pmf(m)
             assert np.array_equal(row, row[::-1]), m
