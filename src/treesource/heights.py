@@ -7,28 +7,31 @@ split and using independence of the subtrees,
     S_{h+1}[m] = sum_k sigma(k, m-k) * (S_h[k] + S_h[m-k] * (1 - S_h[k]))
 
 which vectorizes to S' = W.S + (W*T).(1 - S), with W[m, k] = sigma(k, m-k)
-and T[m, k] = S[m-k], summing only nonnegative terms.  A scan never holds W
-whole.  Rows 2..n are cut once into fixed row blocks, and each block
-[m0, m1) keeps one rectangular panel: its rows against columns 1..m1-1, the
-only ones where its part of the strictly lower triangle is nonzero.  A panel is built from the kernel's
-ascending row walk the first time a layer reaches its rows, so a layer that
-reaches only small sizes allocates no more than O(n).  Each layer walks the
-panels that meet its live rows, forming W*T one panel at a time in a small
-scratch, and skips the rows known to be exactly 0 (m <= h+1) or exactly 1
-(m > 2^h).  Working with survivals instead of CDF differences matters too:
-expected height is a plain sum of them, and exponential moments become
+and T[m, k] = S[m-k], summing only nonnegative terms.
+
+A tree's height does not see which subtree is on the left: the terms at k
+and m-k of row m share the factor S[k] + S[m-k] * (1 - S[k]), so the
+recurrence reads each row only through its symmetrized split
+sigma(k, m-k) + sigma(m-k, k).  The scan therefore runs on a folded W that
+holds this sum at k < m/2, and sigma(m/2, m/2) alone in the middle column
+of an even row (see _panel).  It has half the columns of W, so a layer
+streams half the bytes and does half the flops, and the default budget
+admits n up to 16341 for every kernel.
+
+A scan never holds the folded W whole.  Rows 2..n are cut once into fixed
+row blocks, and each block [m0, m1) keeps one rectangular panel: its rows
+against columns 1..(m1-1)//2, the only ones where its part of the folded
+triangle is nonzero.  A panel is built from the kernel's ascending row walk
+the first time a layer reaches its rows, so a layer that reaches only small
+sizes allocates no more than O(n).  Each layer walks the panels that meet
+its live rows, forming W*T one panel at a time in a small scratch, and
+skips the rows known to be exactly 0 (m <= h+1) or exactly 1 (m > 2^h).
+The panel shapes set how BLAS groups each sum, so survivals, E(H) and
+moments differ in the last bits from those of a scan blocked otherwise.
+Working with survivals instead of CDF differences matters too: expected
+height is a plain sum of them, and exponential moments become
 E(b^H) = 1 + (b-1) * sum_h b^h S_h, so deep tails are never formed by
 subtracting nearly equal doubles and then amplified by b^h.
-
-A kernel that declares mirror symmetry, sigma(k, m-k) == sigma(m-k, k) bit
-for bit (bst and uniform), has its rows stored folded onto the half
-k <= m/2: the terms at k and m-k are equal, so each layer sums one of them
-and doubles (see _panel).  Its panels hold half the columns, so a layer
-streams half the bytes and does half the flops, and the default budget
-admits n up to 16341 for these kernels against 11557 for the others.  The
-panel shapes set how BLAS groups each sum, so survivals, E(H) and moments
-of every kernel differ in the last bits from those of a scan blocked
-otherwise.  Binomial and table kernels are not folded.
 
 One pass answers exactly the sizes asked: every exact entry point scans to
 the largest of them, accumulates E(H_m) and the moments at those sizes only,
@@ -131,9 +134,8 @@ def survival_layers(
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    # a mirror-symmetric row is stored folded onto its half k <= m/2, so a
-    # panel of rows [m0, m1) holds columns 1..(m1-1)//fold only
-    fold = 2 if kernel.symmetric else 1
+    # each row is stored folded onto its half k <= m/2, so a panel of rows
+    # [m0, m1) holds columns 1..(m1-1)//2 only
     cap = max(_BLOCK_BYTES // 8, n)
     # besides the panels: the W*T block scratch (one row if that is wider),
     # seven O(n) vectors (S, 1-S, the reversed padded S counting two, the new
@@ -141,12 +143,12 @@ def survival_layers(
     # panel is built) and the iteration buffers numpy may take for the three
     # operands of the block product
     work = cap + 7 * (n + 1) + 3 * np.getbufsize()
-    # the panels hold at least the (folded) strictly lower triangle, so a
-    # size whose triangle alone is over budget is refused before it is tiled
-    need = 8 * (n * (n - 1) // (2 * fold) + work)
+    # the panels hold at least the folded strictly lower triangle, so a size
+    # whose folded triangle alone is over budget is refused before it is tiled
+    need = 8 * (n * (n - 1) // 4 + work)
     if need <= mem_budget:
-        blocks = _row_blocks(n, fold, cap)
-        need = 8 * (sum((m1 - m0) * ((m1 - 1) // fold) for m0, m1 in blocks) + work)
+        blocks = _row_blocks(n, cap)
+        need = 8 * (sum((m1 - m0) * ((m1 - 1) // 2) for m0, m1 in blocks) + work)
     if need > mem_budget:
         # rounded up, so a refusal never reads as a need within the budget
         raise ScanBudgetError(
@@ -174,24 +176,22 @@ def survival_layers(
         if lo <= hi:
             # a panel is built the first time a layer reaches its rows
             while len(panels) < len(blocks) and blocks[len(panels)][0] <= hi:
-                panels.append(_panel(rows, *blocks[len(panels)], fold))
+                panels.append(_panel(rows, *blocks[len(panels)]))
             rev[: n + 1] = S[::-1]
             np.subtract(1.0, S, out=one_minus)
             for (m0, m1), P in zip(blocks, panels):
                 # the live rows [a, b) of the panel against columns 1..c-1,
-                # the only ones where their (folded) rows are nonzero
+                # the only ones where their folded rows are nonzero
                 a, b = max(m0, lo), min(m1, hi + 1)
                 if a >= b:
                     continue
-                c = (b - 1) // fold + 1
+                c = (b - 1) // 2 + 1
                 Wb = P[a - m0 : b - m0, : c - 1]
                 WT = scratch[: Wb.size].reshape(Wb.shape)
                 np.multiply(Wb, windows[n - b + 1 : n - a + 1][::-1, 1:c], out=WT)
                 block = new[a:b]
                 np.matmul(Wb, S[1:c], out=block)
                 block += WT @ one_minus[1:c]
-                if fold == 2:
-                    block *= 2.0
             # no term is negative; rounding can only overshoot 1
             np.minimum(new[lo : hi + 1], 1.0, out=new[lo : hi + 1])
         S = new
@@ -201,43 +201,41 @@ def survival_layers(
         h += 1
 
 
-def _row_blocks(n: int, fold: int, cap: int) -> list[tuple[int, int]]:
+def _row_blocks(n: int, cap: int) -> list[tuple[int, int]]:
     """The row blocks [m0, m1) that tile rows 2..n, in increasing order.
 
     A block of r rows from m0 takes the most rows with r * (m0-1+r) <=
-    fold * cap, so its panel, r rows by (m1-1)//fold columns, fits the
-    W*T scratch of cap cells: r * ((m1-1)//fold) <= r * (m1-1)/fold <= cap.
-    cap >= n keeps every block at least one row.
+    2 * cap, so its panel, r rows by (m1-1)//2 columns, fits the W*T
+    scratch of cap cells: r * ((m1-1)//2) <= r * (m1-1)/2 <= cap.  cap >= n
+    keeps every block at least one row.
     """
     blocks = []
     m0 = 2
     while m0 <= n:
-        r = (math.isqrt((m0 - 1) ** 2 + 4 * fold * cap) - (m0 - 1)) // 2
+        r = (math.isqrt((m0 - 1) ** 2 + 8 * cap) - (m0 - 1)) // 2
         m1 = min(m0 + r, n + 1)
         blocks.append((m0, m1))
         m0 = m1
     return blocks
 
 
-def _panel(rows: Iterator[np.ndarray], m0: int, m1: int, fold: int) -> np.ndarray:
-    """W[m0:m1, 1:(m1-1)//fold + 1] from the next m1-m0 rows of an ascending walk.
+def _panel(rows: Iterator[np.ndarray], m0: int, m1: int) -> np.ndarray:
+    """Rows m0..m1-1 of the folded W, columns 1..(m1-1)//2, from an ascending walk.
 
-    With fold = 2 each mirror-symmetric row is stored folded onto k <= m/2.
-    Row m's terms at k and m-k are equal, so their sum is
-    2 * sigma * (S[k] + S[m-k] * (1 - S[k])), still nonnegative: entries
-    k < m/2 keep sigma, the middle entry of an even m is halved, and the
-    layer doubles each block's sums.  Doubling the sums rather than the
-    entries gives the same bits wherever no product is subnormal, and the
-    products off the middle are the unfolded scan's own sigma * S, so they
-    underflow to 0 where its products do: at n = 1000, over every layer,
-    bst and uniform survivals are 0 at exactly the unfolded scan's entries.
+    Row m holds sigma(k, m-k) + sigma(m-k, k) at k < m/2 and, for an even
+    m, sigma(m/2, m/2) at k = m/2, whose term the recurrence counts once.
+    Each sum is formed in the panel from the row in flight, so the build
+    allocates no second row, and the middle entry is added to itself and
+    then halved, both exact.  Addition commutes, so a kernel and its mirror
+    image build the same panels and scan to the same bits.
     """
-    P = np.empty((m1 - m0, (m1 - 1) // fold))
+    P = np.empty((m1 - m0, (m1 - 1) // 2))
     for i, m in enumerate(range(m0, m1)):
-        width = m // 2 if fold == 2 else m - 1
-        P[i, :width] = next(rows)[:width]
+        width = m // 2
+        row = next(rows)
+        np.add(row[:width], row[::-1][:width], out=P[i, :width])
         P[i, width:] = 0.0
-        if fold == 2 and m % 2 == 0:
+        if m % 2 == 0:
             P[i, width - 1] *= 0.5
     return P
 

@@ -103,11 +103,6 @@ class SplitKernel:
 
     kind: str = "abstract"
 
-    # True only where sigma(k, m-k) == sigma(m-k, k) bit for bit in every row
-    # the kernel builds; the scan then folds each row onto its half k <= m/2.
-    # A kernel declares it: the scan never tests rows for symmetry.
-    symmetric: bool = False
-
     # --- scalar interface -------------------------------------------------
 
     def sigma(self, i: int, j: int) -> float:
@@ -153,8 +148,8 @@ class SplitKernel:
         """Dense (n+1) x (n+1) matrix W with W[m, k] = sigma(k, m-k).
 
         The rows come from one ascending walk.  The survival scan does not
-        call this: it keeps W as row-block panels built from the same walk
-        (see heights).  The dense layout stays as a reference.
+        call this: it keeps a folded W as row-block panels built from the
+        same walk (see heights).  The dense layout stays as a reference.
         """
         W = np.zeros((n + 1, n + 1))
         for m, row in enumerate(self._ascending_rows(range(2, n + 1)), 2):
@@ -177,7 +172,6 @@ class BstKernel(SplitKernel):
     """Uniform split position: sigma(i, j) = 1/(i + j - 1)."""
 
     kind = "bst"
-    symmetric = True
 
     def sigma(self, i: int, j: int) -> float:
         n = _check_pair(i, j)
@@ -208,9 +202,6 @@ class UniformKernel(SplitKernel):
     """
 
     kind = "uniform"
-    # c_k * c_(m-k) commutes, so every row equals its mirror bit for bit
-    # (checked for every size up to 16400)
-    symmetric = True
 
     def __init__(self):
         self._catalan = np.ones(2)
@@ -250,11 +241,6 @@ class BinomialKernel(SplitKernel):
     """Left size is 1 + Binomial(n-2, p); p = 1/2 gives the most balanced rows."""
 
     kind = "binomial"
-    # not even at p = 1/2: Pascal steps round row entries and their mirrors
-    # along different paths, and they differ by up to 2.5e-15 relative;
-    # folding would replace each entry above m/2 by its mirror, so the scan
-    # would run on other rows, not merely add the same terms in another order
-    symmetric = False
 
     def __init__(self, p: float):
         if not 0.0 < p < 1.0:
