@@ -559,9 +559,11 @@ def test_blocked_scan_matches_exact_reference(kernel, block_bytes, monkeypatch):
 
 
 @pytest.mark.parametrize("block_bytes", SMALL_BLOCKS + [heights._BLOCK_BYTES])
+@pytest.mark.parametrize("share", [1, 2])
 @pytest.mark.parametrize("n", [1, 2, 3, 720, 3000])
-def test_row_blocks_tile_rows_and_fit_the_scratch(n, block_bytes):
-    cap = max(block_bytes // 8, n)
+def test_row_blocks_tile_rows_and_fit_the_scratch(n, share, block_bytes):
+    # the whole scratch, or half of it, which also gives odd caps
+    cap = max(block_bytes // (8 * share), n)
     blocks = heights._row_blocks(n, cap)
     # consecutive, nonempty, from row 2 up to row n with no gap or overlap
     starts = [m0 for m0, _ in blocks] + [n + 1]
@@ -570,6 +572,9 @@ def test_row_blocks_tile_rows_and_fit_the_scratch(n, block_bytes):
     assert all(m1 > m0 for m0, m1 in blocks)
     for m0, m1 in blocks:
         assert (m1 - m0) * ((m1 - 1) // 2) <= cap, (m0, m1)
+        # each block but the last takes the most rows the sizing rule allows
+        r = m1 - m0
+        assert m1 == n + 1 or (r + 1) * (m0 + r) > 2 * cap, (m0, m1)
 
 
 def dense_survival_layers(kernel, n, layers):
