@@ -40,7 +40,7 @@ from typing import ClassVar, Iterable
 
 import numpy as np
 
-from .heights import DEFAULT_MEM_BUDGET, DEFAULT_TAIL_TOL, _grid_scan
+from .heights import DEFAULT_MEM_BUDGET, DEFAULT_TAIL_TOL, _RowTap, _grid_scan
 from .kernels import BinomialKernel, BstKernel, SplitKernel, UniformKernel
 from .sampling import mc_expected_height_grid
 
@@ -254,7 +254,7 @@ def _envelope(row: np.ndarray) -> float:
 
 
 def phi_balance(kernel: SplitKernel, n: int, gamma: float) -> float:
-    """Mass on middle splits: sum of sigma(k, n-k) over gamma*n <= k <= (1-gamma)*n."""
+    """Mass on middle splits: sum of sigma(k, n-k) over ceil(gamma*n) <= k <= n - ceil(gamma*n)."""
     if n < 2:
         raise ValueError(f"balance needs n >= 2, got {n}")
     if not 0.0 < gamma < 0.5:
@@ -263,10 +263,10 @@ def phi_balance(kernel: SplitKernel, n: int, gamma: float) -> float:
 
 
 def _balance(row: np.ndarray, gamma: float) -> float:
+    # the window is symmetric about n/2, so a row and its mirror image agree
     n = row.size + 1
     lo = math.ceil(gamma * n)
-    hi = math.floor((1.0 - gamma) * n)
-    return float(np.sum(row[lo - 1 : hi])) if lo <= hi else 0.0
+    return float(np.sum(row[lo - 1 : n - lo])) if 2 * lo <= n else 0.0
 
 
 # --- closed-form certificate pieces -------------------------------------------
@@ -502,19 +502,23 @@ def verify_certificates(
     For each requested size: membership (where required, n >= n_min),
     the moment inequality, and the height inequality, each allowed PASS_TOL
     slack on its comparison scale.  All exact quantities come from one scan
-    that accumulates at the grid sizes only, membership rows from one
-    ascending walk over the required sizes, and the Monte Carlo columns
-    (sizes n >= 2) from one mc_expected_height_grid.  No row outlives the
-    call: the kernel keeps none.
+    that accumulates at the grid sizes only, membership from the rows of
+    that scan's own walk as they pass (see heights._RowTap), and the Monte
+    Carlo columns (sizes n >= 2) from one mc_expected_height_grid.  No row
+    outlives the call: the kernel keeps none.
     """
     sizes = sorted(set(int(n) for n in ns))
     if not sizes or sizes[0] < 1:
         raise ValueError("size grid must be nonempty with all sizes >= 1")
     bases = [params.moment_base(m) for m in sizes]
-    exact, moment_log_nat, _, _ = _grid_scan(kernel, sizes, tail_tol, mem_budget, bases)
-    required = [n for n in sizes if n >= max(2, params.n_min)]
-    walk = zip(required, kernel._ascending_rows(required))
-    member = {n: params.admits(n, row) for n, row in walk}
+    member = dict.fromkeys(n for n in sizes if n >= max(2, params.n_min))
+
+    def see(n: int, row: np.ndarray) -> None:
+        if n in member:
+            member[n] = params.admits(n, row)
+
+    tap = _RowTap(kernel, see)
+    exact, moment_log_nat, _, _ = _grid_scan(tap, sizes, tail_tol, mem_budget, bases)
     mc_sizes = [n for n in sizes if n >= 2] if mc_replicates > 0 else []
     mc = mc_expected_height_grid(kernel, mc_sizes, mc_replicates, seed) if mc_sizes else {}
 

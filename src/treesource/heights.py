@@ -22,8 +22,8 @@ A scan never holds the folded W whole.  Rows 2..n are cut once into fixed
 row blocks, and each block [m0, m1) keeps one rectangular panel: its rows
 against columns 1..(m1-1)//2, the only ones where its part of the folded
 triangle is nonzero.  A panel is built from the kernel's ascending row walk
-the first time a layer reaches its rows, so a layer that reaches only small
-sizes allocates no more than O(n).  Each layer walks the panels that meet
+the first time a layer's 2^h reaches its rows, so a layer that reaches only
+small sizes allocates no more than O(n).  Each layer walks the panels that meet
 its live rows, forming W*T one panel at a time in a small scratch, and
 skips the rows known to be exactly 0 (m <= h+1) or exactly 1 (m > 2^h).
 The panel shapes set how BLAS groups each sum, so survivals, E(H) and
@@ -45,7 +45,7 @@ h = m-1.  It overstates the tail by a factor of up to about b^(m-1-h), so
 once a size's expected height has retired, the pass also tries a geometric
 bound from the union step 1 - (1-x)(1-y) <= x + y, the step behind the
 certificates themselves (see _THETA).  Either bound retires the moment, so
-no pass runs longer for it.
+no pass runs longer for it, and its g is read from the scan's own row walk.
 
 A scan is sequential in h by data dependence.  Scans for different kernels
 or sizes are independent and may run in parallel; results are immutable.
@@ -56,7 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -114,7 +114,7 @@ terms (relative 2n * 2^-53) and rows forced to exactly 1 whose split row
 sums to as little as 1 - TABLE_TOL, each far below 1e-6 for any n a scan
 can hold, so the bound holds for the survivals as computed.  A g that
 overflows a double is inf from that size on, and the bound is not used
-there.
+there.  g[m] is formed from row m as the scan's walk passes it (see _RowTap).
 """
 _G_MARGIN = 1e-6
 _LOG_GEOMETRIC = math.log(_THETA / (1.0 - _THETA))
@@ -173,10 +173,11 @@ def survival_layers(
         lo, hi = min(h + 2, n + 1), min(n, 1 << h)
         new[:lo] = 0.0
         new[hi + 1 :] = 1.0
+        # a panel is built the first time 2^h reaches its rows, live or not, so
+        # rows 2..m have passed any _RowTap before S_h[m] can fall below 1
+        while len(panels) < len(blocks) and blocks[len(panels)][0] <= hi:
+            panels.append(_panel(rows, *blocks[len(panels)]))
         if lo <= hi:
-            # a panel is built the first time a layer reaches its rows
-            while len(panels) < len(blocks) and blocks[len(panels)][0] <= hi:
-                panels.append(_panel(rows, *blocks[len(panels)]))
             rev[: n + 1] = S[::-1]
             np.subtract(1.0, S, out=one_minus)
             for (m0, m1), P in zip(blocks, panels):
@@ -238,6 +239,18 @@ def _panel(rows: Iterator[np.ndarray], m0: int, m1: int) -> np.ndarray:
         if m % 2 == 0:
             P[i, width - 1] *= 0.5
     return P
+
+
+class _RowTap(SplitKernel):
+    """kernel's rows, each shown to see(m, row) as the scan's walk passes it."""
+
+    def __init__(self, kernel: SplitKernel, see: Callable[[int, np.ndarray], object]):
+        self._kernel, self._see = kernel, see
+
+    def _ascending_rows(self, sizes: Sequence[int]) -> Iterator[np.ndarray]:
+        for m, row in zip(sizes, self._kernel._ascending_rows(sizes)):
+            self._see(m, row)
+            yield row
 
 
 @dataclass(frozen=True)
@@ -409,7 +422,8 @@ def _grid_scan(
     e_live = np.arange(idx.size)
     e_retired = np.zeros(idx.size, dtype=bool)
     m_live = e_live[idx >= 2] if bases is not None else e_live[:0]
-    log_g = None  # the supersolution of _THETA, built when first needed
+    if m_live.size:
+        kernel, g = _supersolution_tap(kernel, int(idx.max()), float(b.max()))
     column = []
     for h, S in survival_layers(kernel, max(sizes, default=0), mem_budget):
         s = S[idx[e_live]]
@@ -427,10 +441,8 @@ def _grid_scan(
             # E(H) retires, so its stop layer does not wait on other sizes
             late = e_retired[m_live] & ~done
             if late.any():
-                if log_g is None:
-                    log_g = _log_supersolution(kernel, int(idx[m_live].max()), float(b.max()))
                 at = m_live[late]
-                bound = lbm1[at] + h * lb[at] + _log_tail_factor(S, log_g, idx[at])
+                bound = lbm1[at] + h * lb[at] + _log_tail_factor(S, g, idx[at])
                 done[late] = bound <= limit[late]
             stop[m_live[done]] = h
             m_live = m_live[~done]
@@ -439,26 +451,24 @@ def _grid_scan(
     return E, np.logaddexp(0.0, lbm1 + acc), stop, np.array(column)
 
 
-def _log_supersolution(kernel: SplitKernel, n: int, top_base: float) -> np.ndarray:
-    """log g[0..n] for the geometric tail bound of _THETA, from one ascending row walk.
-
-    g[0] = g[1] = 0, so those logs are -inf.  From the first size where g
-    overflows a double, every entry is set to inf and the walk stops there.
-    """
+def _supersolution_tap(kernel: SplitKernel, n: int, top_base: float) -> tuple[_RowTap, np.ndarray]:
+    """A tap on kernel's walk that sets g[m] of _THETA as row m passes, and g[0..n]."""
     g = np.zeros(n + 1)
     scale = (1.0 + _G_MARGIN) * top_base / _THETA
-    with np.errstate(over="ignore"):
-        for m, row in enumerate(kernel._ascending_rows(range(2, n + 1)), 2):
-            v = 1.0 + scale * float(row @ (g[1:m] + g[m - 1 : 0 : -1]))
+
+    def see(m: int, row: np.ndarray) -> None:
+        if g[m] < math.inf:  # g is inf from the first size where it overflows
+            with np.errstate(over="ignore"):
+                v = 1.0 + scale * float(row @ (g[1:m] + g[m - 1 : 0 : -1]))
             if not v < math.inf:  # later sizes read g[m]; inf only turns the bound off
                 g[m:] = math.inf
-                break
-            g[m] = v
-    with np.errstate(divide="ignore"):
-        return np.log(g)
+            else:
+                g[m] = v
+
+    return _RowTap(kernel, see), g
 
 
-def _log_tail_factor(S: np.ndarray, log_g: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+def _log_tail_factor(S: np.ndarray, g: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """log(c_h(m) * g[m] * theta/(1-theta)) at each size m >= 2 (see _THETA).
 
     Times (b-1) * b^h, this bounds the remaining moment tail after layer h.
@@ -466,7 +476,8 @@ def _log_tail_factor(S: np.ndarray, log_g: np.ndarray, sizes: np.ndarray) -> np.
     """
     top = int(sizes.max())
     with np.errstate(divide="ignore"):
-        c = np.maximum.accumulate(np.log(S[2 : top + 1]) - log_g[2 : top + 1])
+        log_g = np.log(g[: top + 1])
+        c = np.maximum.accumulate(np.log(S[2 : top + 1]) - log_g[2:])
     out = np.full(sizes.shape, math.inf)
     ok = log_g[sizes] < math.inf
     out[ok] = c[sizes[ok] - 2] + log_g[sizes[ok]] + _LOG_GEOMETRIC
@@ -563,6 +574,8 @@ def check_moment_recursion(
     phi is indexed by size (entry 0 unused) and must be nonincreasing with
     every entry > 1 over sizes 1..n_max.  Both sides are evaluated from one
     per-size moment scan; the default tail_tol of 0 runs scans untruncated.
+    The inequality holds for every kernel, since b^max(x,y) <= b^x + b^y and
+    phi_n <= phi_k for k < n, so a violation points to the scan, not the kernel.
     """
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (n_max + 1,):

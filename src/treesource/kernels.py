@@ -133,7 +133,7 @@ class SplitKernel:
         return next(self._ascending_rows([n]))
 
     def split_cdf(self, n: int) -> list[float]:
-        """Cumulative split row as a plain list, built afresh like split_pmf."""
+        """Cumulative split row as a plain list; kept only because bench/tracing.py wraps it."""
         return np.cumsum(self.split_pmf(n)).tolist()
 
     def _ascending_rows(self, sizes: Sequence[int]) -> Iterator[np.ndarray]:
@@ -149,7 +149,7 @@ class SplitKernel:
 
         The rows come from one ascending walk.  The survival scan does not
         call this: it keeps a folded W as row-block panels built from the
-        same walk (see heights).  The dense layout stays as a reference.
+        same walk (see heights).  It stays only as bench/tracing.py wraps it.
         """
         W = np.zeros((n + 1, n + 1))
         for m, row in enumerate(self._ascending_rows(range(2, n + 1)), 2):

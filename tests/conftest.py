@@ -3,7 +3,7 @@ from contextlib import contextmanager
 import pytest
 
 from treesource import heights
-from treesource.kernels import BstKernel, TableKernel
+from treesource.kernels import BinomialKernel, BstKernel, TableKernel
 
 
 def pytest_configure(config):
@@ -81,3 +81,31 @@ def comb_kernel():
         {12: [0.0] * 5 + [1.0] + [0.0] * 5, 6: [0.0, 0.0, 1.0, 0.0, 0.0], 10: [1.0] + [0.0] * 8},
         BstKernel(),
     )
+
+
+@pytest.fixture
+def counting_bst():
+    """A bst kernel that records the size of every split row it builds, and that record."""
+    pulled = []
+
+    class Counting(BstKernel):
+        def _ascending_rows(self, sizes):
+            for m, row in zip(sizes, super()._ascending_rows(sizes)):
+                pulled.append(m)
+                yield row
+
+    return Counting(), pulled
+
+
+class _MirroredBinomial(BinomialKernel):
+    """The binomial kernel with every split row reversed: sigma(k, m-k) -> sigma(m-k, k)."""
+
+    def _ascending_rows(self, sizes):
+        for row in super()._ascending_rows(sizes):
+            yield row[::-1]
+
+
+@pytest.fixture
+def mirrored_binomial():
+    """Builds the mirror image of BinomialKernel(p) for a given p."""
+    return _MirroredBinomial

@@ -143,6 +143,15 @@ class TestPhiBalance:
     def test_binomial_concentrates(self):
         assert phi_balance(BinomialKernel(0.5), 200, 0.4) > 0.95
 
+    @pytest.mark.parametrize("n", [900, 1700, 1800])
+    def test_window_is_blind_to_mirrored_rows(self, n, mirrored_binomial):
+        # gamma * n rounds to just above an integer at these sizes, where
+        # floor((1 - gamma) * n) would end the window one entry past
+        # n - ceil(gamma * n) and count an entry that its mirror image drops
+        gamma = 0.9 * 0.3
+        mirrored = phi_balance(mirrored_binomial(0.3), n, gamma)
+        assert mirrored == pytest.approx(phi_balance(BinomialKernel(0.3), n, gamma), rel=1e-14)
+
     @pytest.mark.parametrize("n", [100, 400])
     def test_uniform_against_exact_rationals(self, n):
         # independent oracle: the same window summed in exact arithmetic
@@ -438,6 +447,20 @@ class TestVerifyCertificates:
         preset = make_preset("bst-upper")
         with pytest.raises(ValueError, match="tail_tol"):
             verify_certificates(preset.kernel, preset.params, [10, 100], tail_tol=tol)
+
+    @pytest.mark.parametrize("n", [3, 400])
+    @pytest.mark.parametrize("entry", ["verify_certificates", "exp_moment_grid"])
+    def test_one_walk_pulls_each_row_once(self, entry, n, counting_bst):
+        # membership and the supersolution g of the moment tail bound read
+        # the rows the scan pulls for its panels; neither walks them again,
+        # and the scan pulls them even at sizes 2 and 3, where no row is live
+        kernel, pulled = counting_bst
+        if entry == "verify_certificates":
+            params = UpperBoundedParams(c=2.0, alpha=1.0, n_min=2, shift=1.0)
+            assert verify_certificates(kernel, params, range(2, n + 1)).all_pass
+        else:
+            exp_moment_grid(kernel, n, math.e)
+        assert pulled == list(range(2, n + 1))
 
     @pytest.mark.parametrize("name", ["bst-upper", "bst-wbal"])
     def test_one_scan_feeds_every_row(self, name, monkeypatch):

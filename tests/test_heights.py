@@ -141,21 +141,14 @@ class TestSurvivalLayers:
         assert h == 0 and S[:2].tolist() == [0.0, 0.0] and np.all(S[2:] == 1.0)
         assert peak < 4 << 20, f"first layer traced peak {peak} B"
 
-    def test_panels_are_built_as_layers_reach_them(self):
-        pulled = []
-
-        class Counting(BstKernel):
-            def _ascending_rows(self, sizes):
-                for m, row in zip(sizes, super()._ascending_rows(sizes)):
-                    pulled.append(m)
-                    yield row
-
+    def test_panels_are_built_as_layers_reach_them(self, counting_bst):
+        kernel, pulled = counting_bst
         n = 3000
         blocks = heights._row_blocks(n, max(heights._BLOCK_BYTES // 8, n))
-        for h, _ in survival_layers(Counting(), n):
-            # layers 0 and 1 have no live row; later ones build every panel
-            # up to the one that holds row 2^h, and no further
-            top = 1 if h < 2 else next(m1 - 1 for m0, m1 in blocks if m0 <= min(n, 2**h) < m1)
+        for h, _ in survival_layers(kernel, n):
+            # layer 0 reaches no row; later ones build every panel up to the
+            # one that holds row 2^h, and no further, even where no row is live
+            top = 1 if h < 1 else next(m1 - 1 for m0, m1 in blocks if m0 <= min(n, 2**h) < m1)
             assert pulled == list(range(2, top + 1)), f"h={h}"
             if top == n:
                 break
@@ -612,22 +605,14 @@ def test_scan_matches_dense_recurrence(kernel):
         assert rel.max(initial=0.0) <= EXACT_REL_TOL, f"h={h}: rel err {rel.max():.3e}"
 
 
-class Mirrored(BinomialKernel):
-    """The binomial kernel with every split row reversed: sigma(k, m-k) -> sigma(m-k, k)."""
-
-    def _ascending_rows(self, sizes):
-        for row in super()._ascending_rows(sizes):
-            yield row[::-1]
-
-
 @pytest.mark.parametrize("p", [0.3, 0.5])
-def test_scan_is_blind_to_mirrored_rows(p):
+def test_scan_is_blind_to_mirrored_rows(p, mirrored_binomial):
     # a height does not see which subtree is on the left, and the scan reads
     # each row only through sigma(k, m-k) + sigma(m-k, k): every layer,
     # untruncated, matches bit for bit
     n = 1000
     layers = 0
-    mirrored, plain = survival_layers(Mirrored(p), n), survival_layers(BinomialKernel(p), n)
+    mirrored, plain = survival_layers(mirrored_binomial(p), n), survival_layers(BinomialKernel(p), n)
     for (h, S), (_, ref) in zip(mirrored, plain):
         layers += 1
         assert np.array_equal(S, ref), f"h={h}"
@@ -703,22 +688,36 @@ def assert_tail_bound_holds(kernel, n, bases):
     """At every layer h and size m, the geometric bound is at least the remaining tail.
 
     The tail (b-1) * sum_{j>h} b^j S_j[m] is summed from the untruncated scan,
-    with the pass's largest base for the supersolution, as _grid_scan builds it.
+    with the pass's largest base for the supersolution, which the scan's own
+    row walk fills through the same tap as in _grid_scan.
     """
     sizes = np.arange(2, n + 1)
     b = bases[sizes]
-    layers = np.array([S for _, S in survival_layers(kernel, n)])
-    log_g = heights._log_supersolution(kernel, n, float(b.max()))
-    assert np.all(np.isfinite(log_g[2:]))
+    tap, g = heights._supersolution_tap(kernel, n, float(b.max()))
+    layers = np.array([S for _, S in survival_layers(tap, n)])
+    assert np.all((g[2:] >= 1.0) & np.isfinite(g[2:]))
     terms = (b - 1.0) * b ** np.arange(n)[:, None] * layers[:, sizes]
     for h in range(n):
         bound = np.log(b - 1.0) + h * np.log(b)
-        bound += heights._log_tail_factor(layers[h], log_g, sizes)
+        bound += heights._log_tail_factor(layers[h], g, sizes)
         with np.errstate(divide="ignore"):
             tail = np.log(terms[h + 1 :].sum(axis=0))
         # the margin in g is 1e-6; 1e-12 covers the rounding of this sum
         below = sizes[bound < tail - 1e-12]
         assert below.size == 0, f"h={h}: bound below the tail at sizes {below}"
+
+
+def walked_supersolution(kernel, n, top_base):
+    """g[0..n] of _THETA from a walk of its own over the kernel's rows, inf from its overflow."""
+    g = np.zeros(n + 1)
+    scale = (1.0 + heights._G_MARGIN) * top_base / heights._THETA
+    for m, row in enumerate(kernel._ascending_rows(range(2, n + 1)), 2):
+        with np.errstate(over="ignore"):
+            g[m] = 1.0 + scale * float(row @ (g[1:m] + g[m - 1 : 0 : -1]))
+        if not g[m] < math.inf:
+            g[m:] = math.inf
+            break
+    return g
 
 
 BASE_KINDS = ["e", "falling", "near-one"]
@@ -738,6 +737,17 @@ class TestTailBound:
     )
     def test_bound_covers_the_tail_on_tables(self, kernel, n, bases):
         assert_tail_bound_holds(kernel, n, moment_bases(bases, n))
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=IDS)
+    def test_tapped_supersolution_keeps_its_bits(self, kernel):
+        # g fills from the scan's own walk, which has passed rows 2..n by the
+        # first layer with 2^h >= n; uniform's g overflows near 640 leaves
+        n = 800
+        tap, g = heights._supersolution_tap(kernel, n, math.e)
+        for h, _ in survival_layers(tap, n):
+            if 2**h >= n:
+                break
+        assert np.array_equal(g, walked_supersolution(kernel, n, math.e))
 
     def test_bst_moment_pass_is_short(self, scan_layers):
         # the plain bound e^(m-1) * S_h[m] alone ran 277 layers
