@@ -12,22 +12,33 @@ and T[m, k] = S[m-k], summing only nonnegative terms.
 A tree's height does not see which subtree is on the left: the terms at k
 and m-k of row m share the factor S[k] + S[m-k] * (1 - S[k]), so the
 recurrence reads each row only through its symmetrized split
-sigma(k, m-k) + sigma(m-k, k).  The scan therefore runs on a folded W that
-holds this sum at k < m/2, and sigma(m/2, m/2) alone in the middle column
-of an even row (see _panel).  It has half the columns of W, so a layer
-streams half the bytes and does half the flops, and the default budget
-admits n up to 16341 for every kernel.
+sigma(k, m-k) + sigma(m-k, k).  Every layer skips the rows known to be
+exactly 0 (m <= h+1) or exactly 1 (m > 2^h), and takes one of two forms.
 
+Where the split has product form, sigma(k, m-k) = u_k * u_(m-k) / z_m, as
+for bst (u = 1, z_m = m-1) and uniform (u = c, the scaled Catalan numbers,
+z = 4c), the symmetry folds both sums of a layer into one convolution of
+nonnegative vectors, S'[m] = conv(u (2 - S), u S)[m] / z_m (see
+_product_layer).  Such a layer builds no split row and needs O(n) memory,
+so the default budget admits these kernels up to n in the millions: time,
+not memory, bounds their scans.
+
+Every other kernel runs on a folded W that holds the symmetrized split at
+k < m/2, and sigma(m/2, m/2) alone in the middle column of an even row (see
+_panel).  It has half the columns of W, so a layer streams half the bytes
+and does half the flops, and the default budget admits n up to 16341 (a
+few sizes less for a table whose uniform fallback keeps its own table).
 A scan never holds the folded W whole.  Rows 2..n are cut once into fixed
 row blocks, and each block [m0, m1) keeps one rectangular panel: its rows
 against columns 1..(m1-1)//2, the only ones where its part of the folded
 triangle is nonzero.  A panel is built from the kernel's ascending row walk
 the first time a layer's 2^h reaches its rows, so a layer that reaches only
 small sizes allocates no more than O(n).  Each layer walks the panels that meet
-its live rows, forming W*T one panel at a time in a small scratch, and
-skips the rows known to be exactly 0 (m <= h+1) or exactly 1 (m > 2^h).
-The panel shapes set how BLAS groups each sum, so survivals, E(H) and
-moments differ in the last bits from those of a scan blocked otherwise.
+its live rows, forming W*T one panel at a time in a small scratch.
+
+How a layer groups its sums, the panel shapes for BLAS or np.convolve's
+order, sets the last bits of survivals, E(H) and moments, so they differ
+in the last bits from those of a scan that sums otherwise.
 Working with survivals instead of CDF differences matters too: expected
 height is a plain sum of them, and exponential moments become
 E(b^H) = 1 + (b-1) * sum_h b^h S_h, so deep tails are never formed by
@@ -93,6 +104,10 @@ BRUTE_FORCE_LIMIT = 12
 # 512 KiB ran 7.3 ms, 256 KiB 7.5, 1 MiB 8.9, 4 MiB 12.4 and 16 MiB 14.8.
 _BLOCK_BYTES = 512 << 10
 
+# What a product-form scan allocates besides its O(n) vectors: its Python
+# objects and numpy's small temporaries, traced at under 2 KiB at n = 100
+_SMALL_BYTES = 16 << 10
+
 _MAX_LOG = math.log(np.finfo(float).max)
 
 _THETA = 0.5
@@ -109,12 +124,20 @@ base b <= B,
     (b-1) * sum_{j>h} b^j S_j[m] <= (b-1) * b^h * c_h(m) * g[m] * theta/(1-theta).
 
 g is built with B/theta scaled up by 1 + _G_MARGIN.  The margin covers the
-rounding of g's own sums, the rounding of each layer's sums of nonnegative
-terms (relative 2n * 2^-53) and rows forced to exactly 1 whose split row
-sums to as little as 1 - TABLE_TOL, each far below 1e-6 for any n a scan
-can hold, so the bound holds for the survivals as computed.  A g that
-overflows a double is inf from that size on, and the bound is not used
-there.  g[m] is formed from row m as the scan's walk passes it (see _RowTap).
+rounding of g's own sums, the rounding of each layer and rows forced to
+exactly 1 whose split row sums to as little as 1 - TABLE_TOL.  A panel
+layer sums nonnegative terms, within 2n * 2^-53 relative.  A product layer
+forms each term u_k (2 - S[k]) * u_(m-k) S[m-k] in four roundings, none of
+which cancels: 2 - S[k] >= 1, the two products by u and their product.
+Its sum of at most n+1 nonnegative terms adds at most n roundings and the
+division by z_m one, so S'[m] is within (n+5) * 2^-53 relative of the
+recurrence on the stored factors (bst's are exact; uniform's are the table
+its sigma and rows are formed from): below 7.5e-10 up to the largest size
+the default budget admits, 6.71 million leaves for bst.  Each is far below
+1e-6 for any n a scan can hold, so the bound holds for the survivals as
+computed.  A g that overflows a double is inf from that size on, and the
+bound is not used there.  g[m] is formed from row m as the scan's walk
+passes it (see _RowTap).
 """
 _G_MARGIN = 1e-6
 _LOG_GEOMETRIC = math.log(_THETA / (1.0 - _THETA))
@@ -134,37 +157,17 @@ def survival_layers(
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    # each row is stored folded onto its half k <= m/2, so a panel of rows
-    # [m0, m1) holds columns 1..(m1-1)//2 only
-    cap = max(_BLOCK_BYTES // 8, n)
-    # besides the panels: the W*T block scratch (one row if that is wider),
-    # seven O(n) vectors (S, 1-S, the reversed padded S counting two, the new
-    # layer, one block's partial sums and the split row in flight while a
-    # panel is built) and the iteration buffers numpy may take for the three
-    # operands of the block product
-    work = cap + 7 * (n + 1) + 3 * np.getbufsize()
-    # the panels hold at least the folded strictly lower triangle, so a size
-    # whose folded triangle alone is over budget is refused before it is tiled
-    need = 8 * (n * (n - 1) // 4 + work)
-    if need <= mem_budget:
-        blocks = _row_blocks(n, cap)
-        need = 8 * (sum((m1 - m0) * ((m1 - 1) // 2) for m0, m1 in blocks) + work)
+    need, blocks = _scan_need(kernel, n, mem_budget)
     if need > mem_budget:
+        what = "split-matrix panels" if kernel._split_factors is None else "product-form layers"
         # rounded up, so a refusal never reads as a need within the budget
         raise ScanBudgetError(
-            f"scan at n={n} needs ~{-(-need >> 20)} MiB for the split-matrix panels and work "
-            f"space, budget is {mem_budget >> 20} MiB"
+            f"scan at n={n} needs ~{-(-need >> 20)} MiB for the {what} and work space, "
+            f"budget is {mem_budget >> 20} MiB"
         )
-    rows = kernel._ascending_rows(range(2, n + 1))
-    panels: list[np.ndarray] = []
-    scratch = np.empty(cap)
+    layer = _product_layer(kernel, n) if blocks is None else _panel_layer(kernel, n, blocks)
     S = np.ones(n + 1)
     S[0] = 0.0
-    one_minus = np.empty(n + 1)
-    rev = np.zeros(2 * n + 1)
-    # rev[:n+1] holds S reversed, so T[m, k] = S[m-k] (0 when k > m) is
-    # entry k of window n-m, read with unit stride
-    windows = sliding_window_view(rev, n + 1)
     h = 0
     while True:
         new = np.empty(n + 1)
@@ -173,33 +176,133 @@ def survival_layers(
         lo, hi = min(h + 2, n + 1), min(n, 1 << h)
         new[:lo] = 0.0
         new[hi + 1 :] = 1.0
-        # a panel is built the first time 2^h reaches its rows, live or not, so
-        # rows 2..m have passed any _RowTap before S_h[m] can fall below 1
-        while len(panels) < len(blocks) and blocks[len(panels)][0] <= hi:
-            panels.append(_panel(rows, *blocks[len(panels)]))
-        if lo <= hi:
-            rev[: n + 1] = S[::-1]
-            np.subtract(1.0, S, out=one_minus)
-            for (m0, m1), P in zip(blocks, panels):
-                # the live rows [a, b) of the panel against columns 1..c-1,
-                # the only ones where their folded rows are nonzero
-                a, b = max(m0, lo), min(m1, hi + 1)
-                if a >= b:
-                    continue
-                c = (b - 1) // 2 + 1
-                Wb = P[a - m0 : b - m0, : c - 1]
-                WT = scratch[: Wb.size].reshape(Wb.shape)
-                np.multiply(Wb, windows[n - b + 1 : n - a + 1][::-1, 1:c], out=WT)
-                block = new[a:b]
-                np.matmul(Wb, S[1:c], out=block)
-                block += WT @ one_minus[1:c]
-            # no term is negative; rounding can only overshoot 1
-            np.minimum(new[lo : hi + 1], 1.0, out=new[lo : hi + 1])
+        layer(S, new, lo, hi)
+        # no term is negative; rounding can only overshoot 1
+        np.minimum(new[lo : hi + 1], 1.0, out=new[lo : hi + 1])
         S = new
         yield h, S
         if h >= n - 1:
             return
         h += 1
+
+
+def _scan_need(
+    kernel: SplitKernel, n: int, mem_budget: float
+) -> tuple[int, "list[tuple[int, int]] | None"]:
+    """(bytes, row blocks): what a scan at n allocates at most, and its panels' row blocks.
+
+    The blocks are None for a kernel of product form, whose layers need no
+    panel.  A panel scan whose folded triangle alone is over mem_budget is
+    not tiled: its need is then the triangle's, which bounds it below, and
+    its blocks are None too.  Either way the need counts what the kernel
+    takes while it builds rows or factors (SplitKernel._work_cells).
+    """
+    extra = kernel._work_cells(n)
+    if kernel._split_factors is not None:
+        # ten O(n) vectors (S, the new layer, a, b, u, z, the convolution
+        # counting two, the contiguous copy np.convolve makes of b reversed,
+        # and the split row in flight when a _RowTap is shown rows) and the
+        # scan's own small objects
+        return 8 * (10 * (n + 1) + extra) + _SMALL_BYTES, None
+    # each row is stored folded onto its half k <= m/2, so a panel of rows
+    # [m0, m1) holds columns 1..(m1-1)//2 only
+    cap = _scratch_cells(n)
+    # besides the panels: the W*T block scratch (one row if that is wider),
+    # seven O(n) vectors (S, 1-S, the reversed padded S counting two, the new
+    # layer, one block's partial sums and the split row in flight while a
+    # panel is built), the iteration buffers numpy may take for the three
+    # operands of the block product, and what the kernel takes besides
+    work = cap + 7 * (n + 1) + 3 * np.getbufsize() + extra
+    # the panels hold at least the folded strictly lower triangle, so a size
+    # whose folded triangle alone is over budget is refused before it is tiled
+    need = 8 * (n * (n - 1) // 4 + work)
+    if need > mem_budget:
+        return need, None
+    blocks = _row_blocks(n, cap)
+    return 8 * (sum((m1 - m0) * ((m1 - 1) // 2) for m0, m1 in blocks) + work), blocks
+
+
+def _scratch_cells(n: int) -> int:
+    """Cells of a panel scan's W*T scratch: _BLOCK_BYTES, or one row if that is wider."""
+    return max(_BLOCK_BYTES // 8, n)
+
+
+def _product_layer(kernel: SplitKernel, n: int) -> Callable[[np.ndarray, np.ndarray, int, int], None]:
+    """A layer of a kernel of product form, as one convolution of its split factors.
+
+    With sigma(k, m-k) = u_k * u_(m-k) / z_m, the symmetry of the terms at
+    k and m-k folds the recurrence's two sums into one:
+
+        S'[m] = sum_k u_k (2 - S[k]) * u_(m-k) S[m-k] / z_m = conv(a, b)[m] / z_m
+
+    with a = u (2 - S), a[0] = 0, and b = u S, all nonnegative.  S[k] = 0
+    for k < lo - 1, so b is cut there, and a to the same length.  The
+    convolution is np.convolve's direct sum: an FFT's error is absolute,
+    and deep-tail survivals need it relative.  A plain scan builds no row;
+    a _RowTap is shown rows 2..min(n, 2^h) by layer h, so rows 2..m pass it
+    before S_h[m] can fall below 1.
+    """
+    u, z = kernel._split_factors(n)
+    a, b = np.empty(n + 1), np.empty(n + 1)
+    rows = kernel._ascending_rows(range(2, n + 1)) if isinstance(kernel, _RowTap) else None
+    pulled = 1
+
+    def layer(S: np.ndarray, new: np.ndarray, lo: int, hi: int) -> None:
+        nonlocal pulled
+        if rows is not None:  # hi never falls from one layer to the next
+            for _ in range(pulled, hi):
+                next(rows)
+            pulled = hi
+        if lo > hi:
+            return
+        # entry j of the convolution is row m = j + lo - 1
+        s, w = lo - 1, hi - lo + 2
+        np.multiply(u[s : hi + 1], S[s : hi + 1], out=b[:w])
+        np.subtract(2.0, S[:w], out=a[:w])
+        np.multiply(a[:w], u[:w], out=a[:w])
+        a[0] = 0.0
+        np.divide(np.convolve(a[:w], b[:w])[1:w], z[lo : hi + 1], out=new[lo : hi + 1])
+
+    return layer
+
+
+def _panel_layer(
+    kernel: SplitKernel, n: int, blocks: list[tuple[int, int]]
+) -> Callable[[np.ndarray, np.ndarray, int, int], None]:
+    """A layer on the folded W's row-block panels, each built as 2^h first reaches its rows."""
+    rows = kernel._ascending_rows(range(2, n + 1))
+    panels: list[np.ndarray] = []
+    scratch = np.empty(_scratch_cells(n))
+    one_minus = np.empty(n + 1)
+    rev = np.zeros(2 * n + 1)
+    # rev[:n+1] holds S reversed, so T[m, k] = S[m-k] (0 when k > m) is
+    # entry k of window n-m, read with unit stride
+    windows = sliding_window_view(rev, n + 1)
+
+    def layer(S: np.ndarray, new: np.ndarray, lo: int, hi: int) -> None:
+        # a panel is built the first time 2^h reaches its rows, live or not, so
+        # rows 2..m have passed any _RowTap before S_h[m] can fall below 1
+        while len(panels) < len(blocks) and blocks[len(panels)][0] <= hi:
+            panels.append(_panel(rows, *blocks[len(panels)]))
+        if lo > hi:
+            return
+        rev[: n + 1] = S[::-1]
+        np.subtract(1.0, S, out=one_minus)
+        for (m0, m1), P in zip(blocks, panels):
+            # the live rows [a, b) of the panel against columns 1..c-1,
+            # the only ones where their folded rows are nonzero
+            a, b = max(m0, lo), min(m1, hi + 1)
+            if a >= b:
+                continue
+            c = (b - 1) // 2 + 1
+            Wb = P[a - m0 : b - m0, : c - 1]
+            WT = scratch[: Wb.size].reshape(Wb.shape)
+            np.multiply(Wb, windows[n - b + 1 : n - a + 1][::-1, 1:c], out=WT)
+            block = new[a:b]
+            np.matmul(Wb, S[1:c], out=block)
+            block += WT @ one_minus[1:c]
+
+    return layer
 
 
 def _row_blocks(n: int, cap: int) -> list[tuple[int, int]]:
@@ -246,6 +349,12 @@ class _RowTap(SplitKernel):
 
     def __init__(self, kernel: SplitKernel, see: Callable[[int, np.ndarray], object]):
         self._kernel, self._see = kernel, see
+        # the scan takes the same layer form with or without a tap
+        self._split_factors = kernel._split_factors
+
+    def _work_cells(self, n: int) -> int:
+        # see(m, row) may take a temporary as long as the row
+        return self._kernel._work_cells(n) + n
 
     def _ascending_rows(self, sizes: Sequence[int]) -> Iterator[np.ndarray]:
         for m, row in zip(sizes, self._kernel._ascending_rows(sizes)):

@@ -49,7 +49,7 @@ import math
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -95,13 +95,19 @@ def _check_pair(i: int, j: int) -> int:
 class SplitKernel:
     """Base class; concrete kernels implement the scalar forms and _row.
 
-    A kernel whose rows follow from the previous row overrides
-    _ascending_rows instead of _row.  Callers that need rows of many sizes
+    A kernel whose rows follow from the previous row, or from a table best
+    grown once per walk, overrides _ascending_rows instead of _row.  Callers that need rows of many sizes
     in increasing order take them from _ascending_rows, which builds each
     row once and keeps none of them.
+
+    A kernel whose splits have product form, sigma(k, m-k) = u_k * u_(m-k)
+    / z_m, defines _split_factors(n), which returns (u, z) over 0..n; the
+    survival scan then builds no split row (see heights).  For the others
+    _split_factors is None.
     """
 
     kind: str = "abstract"
+    _split_factors: "Callable[[int], tuple[np.ndarray, np.ndarray]] | None" = None
 
     # --- scalar interface -------------------------------------------------
 
@@ -144,12 +150,21 @@ class SplitKernel:
         for m in sizes:
             yield self._row(m)
 
+    def _work_cells(self, n: int) -> int:
+        """Doubles, besides one row in flight, that building rows or factors up to size n may take.
+
+        That is state the kernel keeps across calls, such as a table, with
+        the temporaries of growing it or of forming a row from it.
+        """
+        return 0
+
     def pmf_matrix(self, n: int) -> np.ndarray:
         """Dense (n+1) x (n+1) matrix W with W[m, k] = sigma(k, m-k).
 
         The rows come from one ascending walk.  The survival scan does not
         call this: it keeps a folded W as row-block panels built from the
-        same walk (see heights).  It stays only as bench/tracing.py wraps it.
+        same walk, and for kernels of product form no W at all (see
+        heights).  It stays only as bench/tracing.py wraps it.
         """
         W = np.zeros((n + 1, n + 1))
         for m, row in enumerate(self._ascending_rows(range(2, n + 1)), 2):
@@ -184,6 +199,10 @@ class BstKernel(SplitKernel):
     def _row(self, n: int) -> np.ndarray:
         return np.full(n - 1, 1.0 / (n - 1))
 
+    def _split_factors(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        # u = 1 and z_m = m - 1, each exact
+        return np.ones(n + 1), np.arange(-1.0, n)
+
     def spec(self) -> "KernelSpec":
         return KernelSpec(kind="bst")
 
@@ -198,7 +217,12 @@ class UniformKernel(SplitKernel):
     Up to 31 leaves every entry equals float(sigma_exact).  Up to 16400,
     rows sum to one within 7e-16, and at n = 3162, 8000, 16000 and 16341
     the entries k = 1, 2, 7, n/4, n/3 and n/2 are within 6.5e-15 relative
-    of the exact quotient of tree counts.
+    of the exact quotient of tree counts.  The split factors are u = c and
+    z = 4c on the same table.
+
+    The table is grown, to at least twice its length, by the first call
+    that reads past its end; a walk of rows grows it once, to its largest
+    size, when its first row is asked for.
     """
 
     kind = "uniform"
@@ -214,11 +238,25 @@ class UniformKernel(SplitKernel):
             with self._catalan_lock:
                 if len(self._catalan) <= upto:
                     hi = max(upto + 1, 2 * len(self._catalan), 1024)
-                    twice = 2.0 * np.arange(hi)
-                    ratio = np.ones(hi)
-                    ratio[2:] = (twice[2:] - 3.0) / twice[2:]
-                    self._catalan = np.cumprod(ratio)
+                    # the ratios (2j - 3) / (2j), each one rounding, then
+                    # their running product, all in one array and one temporary
+                    c = np.arange(0.0, 2.0 * hi, 2.0)
+                    np.divide(c[2:] - 3.0, c[2:], out=c[2:])
+                    c[:2] = 1.0
+                    np.multiply.accumulate(c, out=c)
+                    self._catalan = c
         return self._catalan
+
+    def _work_cells(self, n: int) -> int:
+        # growing past n holds the old table (at most n entries), the new
+        # one (at most max(2n, 1024), as the old one is at most n long) and
+        # one temporary as long; once grown, a row takes one temporary of
+        # at most n entries besides itself
+        return n + 2 * max(2 * n, 1024)
+
+    def _split_factors(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        c = self._scaled_catalan(n)[: n + 1]
+        return c, 4.0 * c
 
     def sigma(self, i: int, j: int) -> float:
         n = _check_pair(i, j)
@@ -229,9 +267,10 @@ class UniformKernel(SplitKernel):
         n = _check_pair(i, j)
         return Fraction(count_trees(i) * count_trees(j), count_trees(n))
 
-    def _row(self, n: int) -> np.ndarray:
-        c = self._scaled_catalan(n)
-        return c[1:n] * c[n - 1 : 0 : -1] / (4.0 * c[n])
+    def _ascending_rows(self, sizes: Sequence[int]) -> Iterator[np.ndarray]:
+        c = self._scaled_catalan(sizes[-1] if len(sizes) else 2)
+        for n in sizes:
+            yield c[1:n] * c[n - 1 : 0 : -1] / (4.0 * c[n])
 
     def spec(self) -> "KernelSpec":
         return KernelSpec(kind="uniform")
@@ -344,6 +383,9 @@ class TableKernel(SplitKernel):
         if row is not None:
             return Fraction(float(row[i - 1]))
         return self.fallback.sigma_exact(i, j)
+
+    def _work_cells(self, n: int) -> int:
+        return self.fallback._work_cells(n)
 
     def _ascending_rows(self, sizes: Sequence[int]) -> Iterator[np.ndarray]:
         # the fallback builds only the rows the table does not list

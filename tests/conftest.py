@@ -83,18 +83,29 @@ def comb_kernel():
     )
 
 
-@pytest.fixture
-def counting_bst():
-    """A bst kernel that records the size of every split row it builds, and that record."""
+def _counting(base, *args):
+    """A kernel of class base that records the size of every split row it builds, and that record."""
     pulled = []
 
-    class Counting(BstKernel):
+    class Counting(base):
         def _ascending_rows(self, sizes):
             for m, row in zip(sizes, super()._ascending_rows(sizes)):
                 pulled.append(m)
                 yield row
 
-    return Counting(), pulled
+    return Counting(*args), pulled
+
+
+@pytest.fixture
+def counting_bst():
+    """A bst kernel that records the size of every split row it builds, and that record."""
+    return _counting(BstKernel)
+
+
+@pytest.fixture
+def counting_binomial():
+    """A binomial(0.3) kernel that records the size of every split row it builds, and that record."""
+    return _counting(BinomialKernel, 0.3)
 
 
 class _MirroredBinomial(BinomialKernel):

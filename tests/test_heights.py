@@ -29,8 +29,9 @@ KERNELS = [BstKernel(), UniformKernel(), BinomialKernel(0.3), BinomialKernel(0.5
 IDS = [k.describe() for k in KERNELS]
 
 
-# The largest size the default budget admits, the same for every kernel:
-# each panel row holds the symmetrized half of a split row.
+# The largest size the default budget admits for a kernel on panels: each
+# panel row holds the symmetrized half of a split row.  bst and uniform
+# scans need no panel, and the budget admits them far beyond it.
 CEILING = 16341
 CEILING_KERNELS = [
     BstKernel(),
@@ -39,6 +40,14 @@ CEILING_KERNELS = [
     TableKernel({4: [0.25, 0.5, 0.25]}, BinomialKernel(0.3)),
 ]
 CEILING_IDS = ["bst", "uniform", "binomial", "table"]
+# Panel kernels and their ceilings.  A uniform fallback's scaled-Catalan
+# table, with the temporaries of growing it, takes ten sizes off the ceiling.
+PANEL_CEILINGS = {
+    "binomial": (BinomialKernel(0.3), CEILING),
+    "table": (TableKernel({4: [0.25, 0.5, 0.25]}, BinomialKernel(0.3)), CEILING),
+    "table-bst": (TableKernel({4: [0.25, 0.5, 0.25]}, BstKernel()), CEILING),
+    "table-uniform": (TableKernel({4: [0.25, 0.5, 0.25]}, UniformKernel()), CEILING - 10),
+}
 
 
 def scan_admits(kernel, n):
@@ -71,29 +80,28 @@ class TestSurvivalLayers:
                 assert np.all(S <= prev + 1e-15)
             prev = S
 
-    @pytest.mark.parametrize("kernel", KERNELS[:3], ids=IDS[:3])
-    def test_budget_covers_traced_peak(self, kernel):
-        budget = 4 << 20
-
-        def admits(n):
-            layers = survival_layers(kernel, n, mem_budget=budget)
-            try:
-                next(layers)
-            except ScanBudgetError:
-                return False
-            finally:
-                layers.close()
-            return True
-
-        lo, hi = 1, 2048  # admits(lo), not admits(hi)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if admits(mid) else (lo, mid)
-        n = lo
-        # warm state that outlives a scan, then trace a whole scan at the
-        # ceiling; a first layer builds no row, so the uniform kernel's
-        # scaled-Catalan table is still built, and traced, inside the scan
-        next(survival_layers(kernel, n, mem_budget=budget))
+    @pytest.mark.parametrize(
+        "make, n",
+        [
+            (BstKernel, 1000),
+            (UniformKernel, 1000),
+            (lambda: BinomialKernel(0.3), 700),
+            (lambda: TableKernel({4: [0.25, 0.5, 0.25]}, UniformKernel()), 700),
+        ],
+        ids=["bst", "uniform", "binomial(p=0.3)", "table-uniform"],
+    )
+    def test_budget_covers_traced_peak(self, make, n):
+        # under a budget of exactly the stated need, a whole scan on a fresh
+        # kernel fits, and one size more is refused
+        budget, _ = heights._scan_need(make(), n, math.inf)
+        # warm numpy on another kernel, so that what it keeps across calls
+        # is not traced; the kernel scanned keeps no state from it
+        for _ in survival_layers(make(), 50):
+            pass
+        kernel = make()
+        uniform = kernel.fallback if isinstance(kernel, TableKernel) else kernel
+        if isinstance(uniform, UniformKernel):
+            assert len(uniform._catalan) == 2  # its table grows inside the traced scan
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -106,14 +114,40 @@ class TestSurvivalLayers:
         assert layers == n
         assert peak <= budget, f"n={n}: traced peak {peak} B over budget {budget} B"
         with pytest.raises(ScanBudgetError):
-            next(survival_layers(kernel, n + 1, mem_budget=budget))
+            next(survival_layers(make(), n + 1, mem_budget=budget))
 
-    @pytest.mark.parametrize("kernel", CEILING_KERNELS, ids=CEILING_IDS)
-    def test_default_budget_ceiling(self, kernel):
-        assert scan_admits(kernel, CEILING)
-        assert not scan_admits(kernel, CEILING + 1)
+    @pytest.mark.parametrize("kernel, ceiling", PANEL_CEILINGS.values(), ids=PANEL_CEILINGS)
+    def test_default_budget_ceiling(self, kernel, ceiling):
+        assert scan_admits(kernel, ceiling)
+        assert not scan_admits(kernel, ceiling + 1)
 
-    @pytest.mark.parametrize("kernel", [BstKernel(), BinomialKernel(0.3)], ids=["bst", "binomial"])
+    @pytest.mark.parametrize("kernel", [BstKernel(), UniformKernel()], ids=["bst", "uniform"])
+    def test_product_scans_pass_the_panel_ceiling(self, kernel):
+        # their layers need O(n) memory, so the default budget admits them
+        # far past the panel ceiling and refuses them only in the millions
+        assert scan_admits(kernel, CEILING + 1)
+        assert scan_admits(kernel, 2 * CEILING)
+        n = 10**7
+        tracemalloc.start()
+        try:
+            with pytest.raises(ScanBudgetError) as exc:
+                next(survival_layers(kernel, n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        match = re.fullmatch(
+            rf"scan at n={n} needs ~(\d+) MiB for the product-form layers and work space, "
+            r"budget is 512 MiB",
+            str(exc.value),
+        )
+        assert match and int(match[1]) > 512, str(exc.value)
+        assert peak < 256 << 10, f"refusal traced peak {peak} B"
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [PANEL_CEILINGS["table-bst"][0], BinomialKernel(0.3)],
+        ids=["table-bst", "binomial"],
+    )
     def test_refusal_states_a_need_above_the_budget(self, kernel):
         n = CEILING + 1
         with pytest.raises(ScanBudgetError) as exc:
@@ -141,8 +175,8 @@ class TestSurvivalLayers:
         assert h == 0 and S[:2].tolist() == [0.0, 0.0] and np.all(S[2:] == 1.0)
         assert peak < 4 << 20, f"first layer traced peak {peak} B"
 
-    def test_panels_are_built_as_layers_reach_them(self, counting_bst):
-        kernel, pulled = counting_bst
+    def test_panels_are_built_as_layers_reach_them(self, counting_binomial):
+        kernel, pulled = counting_binomial
         n = 3000
         blocks = heights._row_blocks(n, max(heights._BLOCK_BYTES // 8, n))
         for h, _ in survival_layers(kernel, n):
@@ -153,12 +187,20 @@ class TestSurvivalLayers:
             if top == n:
                 break
 
+    def test_plain_product_scan_pulls_no_row(self, counting_bst):
+        # bst layers read only the split factors; a _RowTap alone makes the
+        # scan walk rows (see test_one_walk_pulls_each_row_once)
+        kernel, pulled = counting_bst
+        assert sum(1 for _ in survival_layers(kernel, 400)) == 400
+        expected_height_grid(kernel, 400)
+        assert pulled == []
+
     @pytest.mark.parametrize("n", [CEILING + 1, 10**9])
     def test_refused_scan_allocates_nothing_large(self, n):
         tracemalloc.start()
         try:
             with pytest.raises(ScanBudgetError):
-                next(survival_layers(BstKernel(), n))
+                next(survival_layers(PANEL_CEILINGS["table-bst"][0], n))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
