@@ -103,7 +103,13 @@ class SplitKernel:
     A kernel whose splits have product form, sigma(k, m-k) = u_k * u_(m-k)
     / z_m, defines _split_factors(n), which returns (u, z) over 0..n; the
     survival scan then builds no split row (see heights).  For the others
-    _split_factors is None.
+    _split_factors is None.  The sampler draws such splits by rejection
+    from u (see sampling), which needs u_k > 0 and 1/u convex on 1..n:
+    then 1/u_k + 1/u_(m-k) is convex and symmetric in k, so it is least,
+    and f(k) = u_k * u_(m-k) / (u_k + u_(m-k)) is largest, at k =
+    floor(m/2).  bst: 1/u = 1 is linear.  uniform: with c_(k+1) / c_k =
+    (2k - 1) / (2k + 2), the steps d_k = 1/c_(k+1) - 1/c_k = 3 / ((2k - 1)
+    c_k) grow, as d_(k+1) / d_k = (2k + 2) / (2k + 1) > 1.
     """
 
     kind: str = "abstract"

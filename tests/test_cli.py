@@ -231,6 +231,8 @@ class TestSample:
 
     @pytest.mark.parametrize("what", ["trees", "heights"])
     def test_one_invocation_builds_one_table(self, capsys, monkeypatch, what):
+        # a table listing only row 2 has uniform's law and draws by inverse
+        # CDF; uniform itself draws by rejection and builds no table
         built = []
 
         class CountingTable(sampling._CdfTable):
@@ -239,13 +241,14 @@ class TestSample:
                 super().__init__(kernel, limit)
 
         monkeypatch.setattr(sampling, "_CdfTable", CountingTable)
-        code, out, _ = run_cli(
-            capsys, "sample", "--kernel", "uniform", "--n", "60", "--replicates", "25",
-            "--what", what,
-        )
-        assert code == 0
-        assert len(out.strip().split("\n")) == 26
-        assert built == [60]
+        spec = render_kernel_spec(TableKernel({2: [1.0]}, UniformKernel()))
+        for kernel in (["--kernel-json", spec], ["--kernel", "uniform"]):
+            code, out, _ = run_cli(
+                capsys, "sample", *kernel, "--n", "60", "--replicates", "25", "--what", what,
+            )
+            assert code == 0
+            assert len(out.strip().split("\n")) == 26
+            assert built == [60]
 
     def test_seed_changes_stream(self, capsys):
         _, a, _ = run_cli(capsys, "sample", "--kernel", "bst", "--n", "30",

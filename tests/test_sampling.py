@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from bisect import bisect_right
 from collections import Counter
 
@@ -22,6 +23,7 @@ from treesource.sampling import (
     _block_heights,
     _CdfTable,
     _level_drawer,
+    _ProductDraw,
     mc_expected_height,
     mc_expected_height_grid,
     mc_heights,
@@ -202,7 +204,8 @@ class TestSamplePreorder:
     @pytest.mark.parametrize(
         "kernel",
         [
-            UniformKernel(),
+            # uniform's law on the inverse-CDF path; UniformKernel draws by rejection
+            pytest.param(on_path(UniformKernel(), "cdf"), id="uniform"),
             TableKernel({5: [0.1, 0.8, 0.1, 0.0]}, UniformKernel()),
             on_path(BinomialKernel(0.3), "cdf"),
         ],
@@ -335,6 +338,12 @@ class TestMonteCarlo:
         kernel = on_path(kernel, path)
         assert mc_expected_height(kernel, 1, 30) == (0.0, 0.0)
         assert mc_expected_height(kernel, 2, 30) == (1.0, 0.0)
+        # a grid's one draw function is built for its largest size, 1 or 2
+        for grid in ([1], [2], [2, 1], [1, 2, 2]):
+            got = mc_expected_height_grid(kernel, grid, 20, seed=3)
+            assert got == {n: (float(n - 1), 0.0) for n in sorted(set(grid))}
+        assert list(sample_preorder(kernel, 1, range(3))) == [("0", 0)] * 3
+        assert list(sample_preorder(kernel, 2, range(3))) == [("100", 1)] * 3
 
     def test_strategy_checked_like_sample_tree(self):
         with pytest.raises(TypeError):
@@ -492,9 +501,11 @@ class TestVectorizedDraws:
                 super().__init__(kernel, limit)
 
         monkeypatch.setattr(sampling, "_CdfTable", CountingTable)
-        mc_expected_height_grid(UniformKernel(), range(2, 240, 7), 50, seed=1)
+        mc_expected_height_grid(on_path(UniformKernel(), "cdf"), range(2, 240, 7), 50, seed=1)
         assert built == [233]
-        mc_expected_height_grid(BstKernel(), range(2, 240, 7), 50, seed=1)
+        # bst draws integers and uniform draws by rejection: neither builds one
+        for kernel in (BstKernel(), UniformKernel()):
+            mc_expected_height_grid(kernel, range(2, 240, 7), 50, seed=1)
         assert built == [233]
 
     def test_grid_checks_like_one_size(self):
@@ -508,6 +519,123 @@ class TestVectorizedDraws:
         table = _CdfTable(UniformKernel(), 10)
         empty = np.array([], dtype=np.int64)
         assert table.draw(empty, np.array([])).size == 0
+
+
+class TestProductDraw:
+    """Uniform draws its shares by rejection from its split factors u."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 9, 10, 33, 64])
+    def test_draws_follow_the_split_row(self, m):
+        kernel = UniformKernel()
+        draws = 20_000
+        k = _level_drawer(kernel, 64)(np.full(draws, m), np.random.default_rng(m))
+        observed = np.bincount(k, minlength=m)[1:].astype(float)
+        assert observed.sum() == draws  # every share in 1..m-1
+        if m == 2:
+            return
+        assert pooled_chisquare_pvalue(observed, kernel.split_pmf(m) * draws) > CHI2_ALPHA
+
+    def test_scalar_and_vectorized_forms_agree(self):
+        n = 200
+        product = _ProductDraw(UniformKernel(), n)
+        rng = np.random.default_rng(17)
+        sizes = np.concatenate(([2, 3, 4, 5, 6, 7, n] * 12, rng.integers(2, n + 1, size=2000)))
+        r = rng.random((3, sizes.size))
+        for i, row in enumerate(r):  # edges in r0, r1 and r2 at different entries
+            row[i::5] = np.resize(EDGES, row[i::5].size)
+        # and every combination of edges at a few sizes
+        edges = np.array(list(itertools.product(EDGES, repeat=3))).T
+        combos = np.repeat([2, 3, 4, 7, 64, n], edges.shape[1])
+        sizes = np.concatenate((sizes, combos))
+        r = np.concatenate((r, np.tile(edges, combos.size // edges.shape[1])), axis=1)
+        got = product.draw(sizes, *r)
+        want = [product.draw_one(int(m), *map(float, t)) for m, t in zip(sizes, r.T)]
+        assert got.tolist() == want
+        rejected = got == 0
+        assert rejected.any() and not rejected.all()
+        assert np.all((got[~rejected] >= 1) & (got[~rejected] <= sizes[~rejected] - 1))
+        # the largest r0 proposes m - 1, which r1 = 0 accepts: no clamp is needed
+        m = np.arange(2, n + 1)
+        top = np.full(m.size, EDGES[-1])
+        assert np.array_equal(product.draw(m, top, 0 * top, 0 * top), m - 1)
+
+    def test_levels_retry_only_rejected_entries(self):
+        # a level takes one triple per entry, then four per rejected entry
+        # (entry i of t takes columns i, t + i, 2t + i, 3t + i) until none is left
+        n = 300
+        product = _ProductDraw(UniformKernel(), n)
+        sizes = np.random.default_rng(3).integers(2, n + 1, size=500)
+        rng = np.random.default_rng(4)
+        want = product.draw(sizes, *rng.random((3, sizes.size)))
+        todo, rounds = np.flatnonzero(want == 0), 0
+        while todo.size:
+            t, r = todo.size, rng.random((3, sampling._RETRIES * todo.size))
+            rounds += 1
+            for i, e in enumerate(todo):
+                for c in range(sampling._RETRIES):
+                    want[e] = product.draw_one(int(sizes[e]), *r[:, c * t + i].tolist())
+                    if want[e]:
+                        break
+            todo = todo[want[todo] == 0]
+        assert rounds >= 1
+        got = _level_drawer(UniformKernel(), n)(sizes, np.random.default_rng(4))
+        assert np.array_equal(got, want)
+
+    def test_uniform_factors_meet_the_side_condition(self):
+        # f(k) <= f(h) up to rounding, so r1 * f(h) < f(k) accepts k with
+        # probability f(k) / f(h); and at least 70 % of the triples are accepted
+        n = 4096
+        product = _ProductDraw(UniformKernel(), n)
+        u, prefix = product.u, product.prefix
+        z = UniformKernel()._split_factors(n)[1]
+        for m in range(2, n + 1):
+            k = np.arange(1, m)
+            f = u[k] * u[m - k] / (u[k] + u[m - k])
+            fh = f[m // 2 - 1]
+            assert f.max() <= fh * (1 + 4 * 2.0**-53), m
+            assert z[m] / (2 * prefix[m - 1] * fh) >= 0.7, m
+
+    def test_rejection_trees_take_triples_in_blocks(self):
+        # each tree takes the columns of rng.random((3, n - 1)) in turn, and
+        # a further such block whenever one runs out
+        n = 120
+        product = _ProductDraw(UniformKernel(), n)
+        rng = np.random.default_rng(12)
+        want, blocks = [], 0
+        for _ in range(5):
+            triples = iter(())
+            bits, stack = [], [n]
+            while stack:
+                m = stack.pop()
+                bits.append("1" if m > 1 else "0")
+                if m > 1:
+                    k = 0
+                    while not k:
+                        t = next(triples, None)
+                        if t is None:
+                            triples = zip(*rng.random((3, n - 1)).tolist())
+                            blocks += 1
+                            t = next(triples)
+                        k = product.draw_one(m, *t)
+                    stack += [m - k, k]
+            want.append("".join(bits))
+        assert blocks > 5  # some tree ran past its first block
+        rng = np.random.default_rng(12)
+        got = [bits for bits, _ in sample_preorder(UniformKernel(), n, itertools.repeat(rng, 5))]
+        assert got == want
+
+    def test_monte_carlo_memory_is_linear_in_n(self):
+        # u, its prefix sums and the pending blocks: about 0.5 MiB traced at
+        # n = 4096, where cumulative rows up to 4096 would take 64 MiB
+        n = 4096
+        kernel = UniformKernel()
+        tracemalloc.start()
+        try:
+            mc_expected_height(kernel, n, 100, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * n  # 2 MiB
 
 
 HEIGHT_LAW_ALPHA = 1e-3  # the significance of acceptance criterion 9
