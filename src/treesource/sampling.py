@@ -3,12 +3,16 @@
 A sample is grown top-down: starting from the full leaf budget, each
 pending block of m leaves either becomes a leaf (m = 1) or draws a left
 share k from the size-m split row and splits into blocks of k and m - k.
-sample_preorder expands each tree by one traversal with an explicit work
-stack in pre-order, so comb-like trees of any size cannot overflow the
-interpreter stack; sample_shape, sample_tree and sample_height are its
-one-seed forms.  Monte Carlo grows many trees at once instead, one tree
-level at a time, with one vectorized draw per level for every pending
-block of every replicate.
+sample_shape, sample_tree and sample_height are the one-seed forms of
+sample_preorder.  For bst, binomial and product-form kernels it expands
+each tree by one traversal with an explicit work stack in pre-order, so
+comb-like trees of any size cannot overflow the interpreter stack.  Trees
+of the other kernels, drawn by inverse CDF, grow a batch of seeds at a
+time, one tree level at a time, with one vectorized draw per level for
+every pending block of every tree in the batch; a block's place in its
+tree's pre-order, and so the uniform it reads, follows from its parent's
+split.  Monte Carlo grows its replicates one level at a time in the same
+way.
 
 How a left share is drawn follows from the kernel alone: bst draws a
 uniform integer and binomial a binomial variate.  Another kernel of product
@@ -31,8 +35,9 @@ output across numpy versions is not promised):
   replicate_seed(seed, r) and is bit-stable per seed.
 * A tree drawn by rejection takes its uniforms as triples, in blocks of
   n - 1 triples laid out as rng.random((3, n - 1)), and takes a further
-  block whenever one runs out; an inverse-CDF tree takes n - 1 uniforms,
-  one per inner node.
+  block whenever one runs out; an inverse-CDF tree takes rng.random(n - 1)
+  and reads uniform i at its inner node of pre-order index i, whatever
+  batch it grows in.
 * mc_heights and mc_expected_height are pure functions of (kernel, n,
   replicates, seed).  Replicates are grown in blocks of MC_BLOCK, block b
   from its own generator seeded with replicate_seed(seed, b), so adding
@@ -81,6 +86,16 @@ MC_BLOCK = 256
 # inverse CDF (tables, whatever their fallback) build one.
 _TABLE_LIMIT = 4096
 
+# Cells that sample_preorder grows together for a kernel drawn by inverse CDF:
+# a batch holds max(1, _BATCH_CELLS // n) trees of size n, and its arrays
+# trace about 42 bytes per cell, 2.7 MiB at 2^16.  On a 2-vCPU machine, with
+# a table over binomial(1/2) and not counting its build, 200 trees at
+# n = 400 took 159, 84, 24, 12.6, 11.6 and 11.0 ms at 1, 2^10, 2^12, 2^14,
+# 2^16 and 2^20 cells (one tree per draw was twice as slow as the scalar
+# loop it replaced), and 2000 trees at n = 50 took 983, 84, 50, 38, 36 and
+# 38 ms: no faster beyond 2^15.
+_BATCH_CELLS = 1 << 16
+
 # Triples that each rejected entry of a Monte Carlo level draws per retry
 # round; the first accepted one is kept.  Four cut uniform's draw calls from
 # 3.5 to 1.9 per level on a grid of 64 sizes up to 512, and its time by 10 %.
@@ -114,38 +129,30 @@ def _split_drawer(
 ) -> Callable[[np.random.Generator], Callable[[int], int]]:
     """drawer(rng) is one size-n tree's draw function k = draw(m) for the left share.
 
-    An inverse-CDF tree takes its n - 1 uniforms, one per inner node, in
-    one call, which gives the doubles of n - 1 calls of rng.random().  A
-    rejection tree takes its uniform triples in blocks of n - 1.
+    It serves the kernels not drawn by inverse CDF: bst, binomial and those
+    of product form.  A rejection tree takes its uniform triples in blocks
+    of n - 1.
     """
     if isinstance(kernel, BstKernel):
         return lambda rng: lambda m: int(rng.integers(1, m))
     if isinstance(kernel, BinomialKernel):
         p = kernel.p
         return lambda rng: lambda m: 1 + int(rng.binomial(m - 2, p))
-    if kernel._split_factors is not None:
-        draw_one = _ProductDraw(kernel, n).draw_one
+    draw_one = _ProductDraw(kernel, n).draw_one
 
-        def rejection_drawer(rng: np.random.Generator) -> Callable[[int], int]:
-            triples = _triples(rng, n - 1)
+    def rejection_drawer(rng: np.random.Generator) -> Callable[[int], int]:
+        triples = _triples(rng, n - 1)
 
-            def draw(m: int) -> int:
-                k = 0
-                while not k:
-                    r0, r1, r2 = next(triples)
-                    k = draw_one(m, r0, r1, r2)
-                return k
+        def draw(m: int) -> int:
+            k = 0
+            while not k:
+                r0, r1, r2 = next(triples)
+                k = draw_one(m, r0, r1, r2)
+            return k
 
-            return draw
+        return draw
 
-        return rejection_drawer
-    table = _CdfTable(kernel, min(n, _TABLE_LIMIT))
-
-    def tree_drawer(rng: np.random.Generator) -> Callable[[int], int]:
-        u = iter(rng.random(n - 1).tolist())
-        return lambda m: table.draw_one(m, next(u))
-
-    return tree_drawer
+    return rejection_drawer
 
 
 def _triples(rng: np.random.Generator, count: int) -> Iterator[tuple[float, float, float]]:
@@ -179,15 +186,70 @@ def sample_preorder(
 ) -> Iterator[tuple[str, int]]:
     """Pre-order shape bits ('1' inner, '0' leaf) and height of one size-n tree per seed.
 
-    Every tree goes through one draw function, so an inverse-CDF kernel
-    builds one table of cumulative rows per call: a loop over many trees
-    should make one call.  A generator seed is advanced by its tree, so
-    repeating one generator draws the trees of its stream in turn.
+    A generator seed is advanced by its tree, so repeating one generator
+    draws the trees of its stream in turn.  bst, binomial and product-form
+    kernels draw one tree at a time, one split per inner node.  Every other
+    kernel inverts split rows read from one table of cumulative rows, built
+    once per call, and grows its trees in batches of max(1, _BATCH_CELLS // n)
+    seeds: each tree takes rng.random(n - 1) from its seed, in seed order,
+    before any tree of the batch is yielded.  So a loop over many trees
+    should make one call.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    drawer = _split_drawer(kernel, n)
-    return (_preorder(drawer(_rng(seed)), n) for seed in seeds)
+    if isinstance(kernel, (BstKernel, BinomialKernel)) or kernel._split_factors is not None:
+        drawer = _split_drawer(kernel, n)
+        return (_preorder(drawer(_rng(seed)), n) for seed in seeds)
+    return _grown_preorder(_CdfTable(kernel, min(n, _TABLE_LIMIT)), n, seeds)
+
+
+def _grown_preorder(
+    table: "_CdfTable", n: int, seeds: "Iterable[int | np.random.Generator]"
+) -> Iterator[tuple[str, int]]:
+    """sample_preorder for a kernel drawn by inverse CDF, a batch of seeds at a time."""
+    batch = max(1, _BATCH_CELLS // n)
+    uniforms = []
+    for seed in seeds:
+        uniforms.append(_rng(seed).random(n - 1))
+        if len(uniforms) == batch:
+            yield from _grow(table, n, uniforms)
+            uniforms = []
+    if uniforms:
+        yield from _grow(table, n, uniforms)
+
+
+def _grow(table: "_CdfTable", n: int, uniforms: list[np.ndarray]) -> list[tuple[str, int]]:
+    """Shape bits and heights of one tree per array of n - 1 uniforms, grown one level at a time.
+
+    With u the arrays laid end to end, tree t reads u[t * (n - 1) + i] at
+    its inner node of pre-order index i and writes its shape bits from
+    position t * (2n - 1) on.  A block of m leaves at inner index i and bit
+    position p that splits into (k, m - k) has its left child at (i + 1,
+    p + 1) and its right child at (i + k, p + 2k), as a k-leaf subtree has
+    k - 1 inner nodes and 2k - 1 nodes in all.
+    """
+    count, u = len(uniforms), np.concatenate(uniforms)
+    width = 2 * n - 1
+    bits = np.full(count * width, ord("0"), dtype=np.uint8)
+    heights = np.zeros(count, dtype=np.int64)
+    # pending blocks of size >= 2: size, uniform index and bit position
+    m = np.full(count if n >= 2 else 0, n, dtype=np.int64)
+    i = np.arange(m.size) * (n - 1)
+    p = np.arange(m.size) * width
+    level = 0
+    while m.size:
+        # a block of size >= 2 at this level puts leaves one level deeper
+        level += 1
+        heights[i // (n - 1)] = level
+        bits[p] = ord("1")
+        k = table.draw(m, u[i])
+        m = np.concatenate((k, m - k))
+        i = np.concatenate((i + 1, i + k))
+        p = np.concatenate((p + 1, p + 2 * k))
+        keep = m >= 2
+        m, i, p = m[keep], i[keep], p[keep]
+    shapes = bits.tobytes().decode("ascii")
+    return [(shapes[t * width : (t + 1) * width], h) for t, h in enumerate(heights.tolist())]
 
 
 def sample_shape(kernel: SplitKernel, n: int, seed: "int | np.random.Generator") -> str:
@@ -311,19 +373,21 @@ class _ProductDraw:
 
 
 class _CdfTable:
-    """Cumulative split rows for exact inverse-CDF draws, scalar and vectorized.
+    """Cumulative split rows for exact vectorized inverse-CDF draws.
 
     It serves the kernels that are neither bst, binomial nor of product
-    form, that is table kernels, whatever their fallback.
+    form, that is table kernels, whatever their fallback: their Monte Carlo
+    levels and their trees, which sample_preorder grows a batch at a time,
+    one draw per level.
 
     Rows of sizes 2..limit are stored back to back in one flat array, each
     the np.cumsum of the kernel's split row, as SplitKernel.split_cdf gives
-    it, so draw_one and draw return the same k for the same uniform.  Rows
-    of larger sizes are built once per distinct size per draw call and
-    dropped, which keeps memory at O(limit^2 + n) for any n.  All rows come
-    from the kernel's ascending walk.  A binomial walk takes a Pascal step,
-    O(sqrt(m)) wide, for every size m up to the largest one asked; the other
-    kernels build O(m) per distinct size.
+    it.  Rows of larger sizes are built once per distinct size per draw call
+    and dropped, which keeps memory at O(limit^2 + n) for any n.  All rows
+    come from the kernel's ascending walk.  A binomial walk takes a Pascal
+    step, O(sqrt(m)) wide, for every size m up to the largest one asked; the
+    other kernels build O(m) per distinct size.  A query's share depends on
+    its own size and uniform only, whatever else is drawn with it.
     """
 
     def __init__(self, kernel: SplitKernel, limit: int):
@@ -336,17 +400,6 @@ class _CdfTable:
         for m, row in enumerate(kernel._ascending_rows(range(2, limit + 1)), 2):
             a = int(self.start[m])
             np.cumsum(row, out=self.flat[a : a + m - 1])
-        # bisect reads Python floats from a memoryview about twice as fast
-        # as numpy scalars from the array
-        self._cells = memoryview(self.flat)
-
-    def draw_one(self, m: int, u: float) -> int:
-        """The left share min(bisect_right(cdf_m, u) + 1, m - 1) at one size m."""
-        if m > self.limit:
-            return int(self.draw(np.array([m]), np.array([u]))[0])
-        a = (m - 2) * (m - 1) // 2  # self.start[m]
-        # clamp: cumulative row can fall a few ulp short of 1
-        return min(bisect_right(self._cells, u, a, a + m - 1) - a + 1, m - 1)
 
     def draw(self, m: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Left shares min(bisect_right(cdf_m, u) + 1, m - 1), elementwise."""

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -169,6 +170,49 @@ class TestSampleHeight:
             sample_height(BstKernel(), 0, 0)
 
 
+TABLE = TableKernel({5: [0.1, 0.8, 0.1, 0.0]}, BinomialKernel(0.3))
+CDF_TABLES = [
+    TABLE,
+    TableKernel({3: [0.0, 1.0], 6: [0.2, 0.0, 0.0, 0.0, 0.8]}, BstKernel()),
+    TableKernel({5: [0.1, 0.8, 0.1, 0.0]}, UniformKernel()),
+]
+
+
+def cdf_tree(kernel, n, rng):
+    """One tree by inverse CDF, walked in pre-order with a stack: (bits, height, inner nodes).
+
+    It takes rng.random(n - 1) and gives the share at the inner node of
+    pre-order index i by a split_cdf lookup of uniform i.  The inner nodes
+    are listed as (depth, size) pairs.
+    """
+    u = iter(rng.random(n - 1).tolist())
+    bits, height, inner, stack = [], 0, [], [(n, 0)]
+    while stack:
+        m, depth = stack.pop()
+        if m == 1:
+            bits.append("0")
+            height = max(height, depth)
+        else:
+            bits.append("1")
+            inner.append((depth, m))
+            k = scalar_draws(kernel, [m], [next(u)])[0]
+            stack += [(m - k, depth + 1), (k, depth + 1)]
+    return "".join(bits), height, inner
+
+
+def record_batches(monkeypatch):
+    """The sizes of the batches that sample_preorder grows, in a list filled in as they grow."""
+    sizes = []
+    grow = sampling._grow
+
+    def recording_grow(table, n, uniforms):
+        sizes.append(len(uniforms))
+        return grow(table, n, uniforms)
+
+    monkeypatch.setattr(sampling, "_grow", recording_grow)
+    return sizes
+
+
 class TestSamplePreorder:
     @pytest.mark.parametrize(
         "kernel",
@@ -191,7 +235,9 @@ class TestSamplePreorder:
             assert tree_from_shape_bits(bits).height == height
 
     @pytest.mark.parametrize(
-        "kernel", [BstKernel(), UniformKernel(), BinomialKernel(0.3)], ids=lambda k: k.describe()
+        "kernel",
+        [BstKernel(), UniformKernel(), BinomialKernel(0.3), TABLE],
+        ids=lambda k: k.describe(),
     )
     def test_one_generator_draws_the_trees_in_turn(self, kernel):
         rng = np.random.default_rng(9)
@@ -216,19 +262,49 @@ class TestSamplePreorder:
         # node in pre-order, in and above the flat table
         monkeypatch.setattr(sampling, "_TABLE_LIMIT", 40)
         rng = np.random.default_rng(12)
-        want = []
-        for _ in range(5):
-            bits, stack = [], [120]
-            while stack:
-                m = stack.pop()
-                bits.append("1" if m > 1 else "0")
-                if m > 1:
-                    k = scalar_draws(kernel, [m], [rng.random()])[0]
-                    stack += [m - k, k]
-            want.append("".join(bits))
+        want = [cdf_tree(kernel, 120, rng)[:2] for _ in range(5)]
         rng = np.random.default_rng(12)
-        got = [bits for bits, _ in sample_preorder(kernel, 120, itertools.repeat(rng, 5))]
-        assert got == want
+        assert list(sample_preorder(kernel, 120, itertools.repeat(rng, 5))) == want
+
+    @pytest.mark.parametrize("kernel", CDF_TABLES, ids=lambda k: k.describe())
+    @pytest.mark.parametrize("n", [1, 2, 37, 300])
+    def test_batches_keep_the_bits(self, kernel, n, monkeypatch):
+        # three trees per batch, so eight seeds take batches of 3, 3 and 2;
+        # with the small limit, draws at sizes above 40 go past the flat table
+        monkeypatch.setattr(sampling, "_TABLE_LIMIT", 40)
+        monkeypatch.setattr(sampling, "_BATCH_CELLS", 3 * n)
+        batches = record_batches(monkeypatch)
+        seeds = [replicate_seed(3, r) for r in range(8)]
+        want = [cdf_tree(kernel, n, np.random.default_rng(s))[:2] for s in seeds]
+        assert list(sample_preorder(kernel, n, seeds)) == want
+        assert batches == [3, 3, 2]
+
+    def test_one_generator_runs_across_batches(self, monkeypatch):
+        # seven trees from one stream in batches of 2: each takes its n - 1
+        # uniforms in turn, and the stream ends where the last tree's do
+        n = 60
+        monkeypatch.setattr(sampling, "_BATCH_CELLS", 2 * n)
+        batches = record_batches(monkeypatch)
+        ref = np.random.default_rng(9)
+        want = [cdf_tree(TABLE, n, ref)[:2] for _ in range(7)]
+        rng = np.random.default_rng(9)
+        assert list(sample_preorder(TABLE, n, itertools.repeat(rng, 7))) == want
+        assert batches == [2, 2, 2, 1]
+        assert rng.random() == ref.random()
+
+    def test_batches_bound_the_memory(self):
+        # 400 trees at n = 3000 grow in batches of _BATCH_CELLS // n = 21
+        # trees, besides the flat table of rows up to 3000 (36 MB)
+        n = 3000
+        kernel = TableKernel({2: [1.0]}, BstKernel())
+        tracemalloc.start()
+        try:
+            for _ in sample_preorder(kernel, n, range(400)):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * (n - 1) // 2 + 128 * sampling._BATCH_CELLS
 
     def test_checks_the_size_before_drawing(self):
         with pytest.raises(ValueError, match="n >= 1"):
@@ -380,10 +456,16 @@ class _FixedUniforms:
 
 
 def scalar_draws(kernel, sizes, u):
-    """The scalar sampler's inverse-CDF lookup, query by query."""
+    """The scalar inverse-CDF lookup, query by query."""
     return np.array(
-        [min(bisect_right(kernel.split_cdf(int(m)), x) + 1, int(m) - 1) for m, x in zip(sizes, u)]
+        [min(bisect_right(split_cdf(kernel, int(m)), x) + 1, int(m) - 1) for m, x in zip(sizes, u)]
     )
+
+
+@functools.lru_cache(maxsize=4096)
+def split_cdf(kernel, m):
+    """kernel.split_cdf(m), kept: a binomial row takes m - 2 Pascal steps per build."""
+    return kernel.split_cdf(m)
 
 
 EDGES = (0.0, 5e-324, 1e-17, float(np.nextafter(1.0, 0.0)))
@@ -434,7 +516,9 @@ class TestVectorizedDraws:
         u = edge_uniforms(kernel, sizes, rng)
         want = scalar_draws(kernel, sizes, u)
         assert np.array_equal(table.draw(sizes, u), want)
-        assert [table.draw_one(int(m), float(x)) for m, x in zip(sizes, u)] == want.tolist()
+        # a query's share does not depend on the queries drawn with it
+        one_at_a_time = [table.draw(sizes[j : j + 1], u[j : j + 1])[0] for j in range(sizes.size)]
+        assert one_at_a_time == want.tolist()
 
     @pytest.mark.parametrize("limit", [_TABLE_LIMIT, 40])
     @pytest.mark.parametrize(
@@ -472,6 +556,39 @@ class TestVectorizedDraws:
         got = table.draw(sizes, u)
         assert steps[0] == 38 + 298
         assert np.array_equal(got, scalar_draws(kernel, sizes, u))
+
+    def test_large_table_rows_take_one_walk_per_level_per_batch(self, monkeypatch):
+        # a tree level's sizes above the flat table share one ascending walk
+        # per batch, from row 2 to the level's largest size
+        n, limit = 300, 40
+        monkeypatch.setattr(sampling, "_TABLE_LIMIT", limit)
+        monkeypatch.setattr(sampling, "_BATCH_CELLS", 3 * n)
+        seeds = [replicate_seed(4, r) for r in range(6)]
+        want_walks, want_steps = 1, limit - 2  # the flat table's walk
+        for batch in (seeds[:3], seeds[3:]):
+            tops = {}  # depth -> largest size above the limit at that depth
+            for seed in batch:
+                for depth, m in cdf_tree(TABLE, n, np.random.default_rng(seed))[2]:
+                    if m > limit:
+                        tops[depth] = max(tops.get(depth, 0), m)
+            want_walks += len(tops)
+            want_steps += sum(m - 2 for m in tops.values())
+        walks, steps = [0], [0]
+        rows, step = TableKernel._ascending_rows, BinomialKernel._pascal_step
+
+        def counting_rows(self, sizes):
+            walks[0] += 1
+            return rows(self, sizes)
+
+        def counting_step(self, row):
+            steps[0] += 1
+            return step(self, row)
+
+        monkeypatch.setattr(TableKernel, "_ascending_rows", counting_rows)
+        monkeypatch.setattr(BinomialKernel, "_pascal_step", counting_step)
+        list(sample_preorder(TABLE, n, seeds))
+        assert (walks[0], steps[0]) == (want_walks, want_steps)
+        assert want_walks > 3  # some level of each batch went past the table
 
     @pytest.mark.parametrize(
         "kernel, grid",
