@@ -12,7 +12,8 @@ time, one tree level at a time, with one vectorized draw per level for
 every pending block of every tree in the batch; a block's place in its
 tree's pre-order, and so the uniform it reads, follows from its parent's
 split.  Monte Carlo grows its replicates one level at a time in the same
-way.
+way, but as it returns heights alone it grows only the blocks that can
+still raise their replicate's height (_block_heights).
 
 How a left share is drawn follows from the kernel alone: bst draws a
 uniform integer and binomial a binomial variate.  Another kernel of product
@@ -45,10 +46,15 @@ output across numpy versions is not promised):
   rejection takes rng.random((3, s)) for its s pending blocks, then, while
   t of them are rejected, rng.random((3, 4t)) for four more triples each
   (block i's are columns i, t + i, 2t + i and 3t + i), keeping the first
-  one accepted.  Their heights follow the
-  law of sample_height but are not the heights sample_height draws at any
-  replicate seed.  mc_expected_height_grid gives at each size n exactly
-  mc_expected_height(kernel, n, replicates, replicate_seed(seed, n)).
+  one accepted.  A block that cannot raise its replicate's height is not
+  grown: at depth d a block of m leaves is drawn only while d + m - 1
+  exceeds the largest d' + ceil(log2 m') over its replicate's blocks so
+  far, so leaves and blocks of 2 or 3 leaves take no draw.  The heights
+  are exact for the draws made and follow the law of sample_height, but
+  are not the heights sample_height draws at any replicate seed, nor those
+  of releases that grew every block.  mc_expected_height_grid gives at
+  each size n exactly mc_expected_height(kernel, n, replicates,
+  replicate_seed(seed, n)).
 """
 
 from __future__ import annotations
@@ -77,8 +83,11 @@ __all__ = [
 
 # Replicates grown together by mc_heights.  It fixes which generator draws
 # each replicate, so changing it changes every Monte Carlo value.  A level's
-# pending blocks take O(MC_BLOCK * n) memory: 256 keeps a bst block at
-# n = 10^5 near 165 MiB, and larger blocks were no faster at n <= 4096.
+# pending blocks take O(MC_BLOCK * n) memory at most, and far less once the
+# blocks that cannot raise a height are dropped.  One block of 256, traced by
+# tracemalloc: bst 28.1 MiB at n = 10^5 and 74.6 MiB at 3 * 10^5;
+# binomial(1/2) 145.5 MiB and 493.9 MiB.  Larger blocks were no faster at
+# n <= 4096.
 MC_BLOCK = 256
 
 # Largest size whose cumulative row a _CdfTable stores; the flat table then
@@ -97,8 +106,13 @@ _TABLE_LIMIT = 4096
 _BATCH_CELLS = 1 << 16
 
 # Triples that each rejected entry of a Monte Carlo level draws per retry
-# round; the first accepted one is kept.  Four cut uniform's draw calls from
-# 3.5 to 1.9 per level on a grid of 64 sizes up to 512, and its time by 10 %.
+# round; the first accepted one is kept.  With only the blocks that can
+# raise a height grown, the least CPU time of 7 calls for 1, 2, 4, 8 and 16
+# triples, two sweeps on a shared 2-vCPU machine, was: uniform at n = 4096
+# with 100 replicates 58-100, 48-79, 44-74, 48-85 and 62-98 ms (1583, 1022,
+# 768, 705 and 732 _ProductDraw.draw calls); the grid 40:240:40 with 100
+# replicates 32-56, 26-47, 24-39, 24-43 and 27-43 ms; a grid of 64 sizes
+# 2:512:8 512-529, 397-398, 359-401, 387-391 and 451-477 ms.
 _RETRIES = 4
 
 _GOLDEN64 = 0x9E3779B97F4A7C15
@@ -470,22 +484,35 @@ def _block_heights(
     count: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Heights of count trees of size n, grown together one level at a time."""
+    """Heights of count trees of size n, grown together one level at a time.
+
+    Only blocks that can still raise their tree's height are grown.  An
+    m-leaf subtree is at least ceil(log2 m) and at most m - 1 tall, so at
+    depth d a block lifts its tree's height to at least d + ceil(log2 m),
+    and is dropped, undrawn, once d + m - 1 cannot exceed that floor over
+    its tree's blocks.  Leaves and blocks of 2 or 3 leaves always go.  A
+    dropped subtree cannot set the maximum, and every draw depends only on
+    its block's size and fresh uniforms, so each height is exact given the
+    draws made and keeps its law.
+    """
     heights = np.zeros(count, dtype=np.int64)
-    # pending blocks of size >= 2 at the current level, and their replicate
-    sizes = np.full(count if n >= 2 else 0, n, dtype=np.int64)
-    owner = np.arange(sizes.size)
-    level = 0
-    while sizes.size:
-        # a block of size >= 2 at this level puts leaves one level deeper
-        level += 1
-        heights[owner] = level
+    # least[m] = ceil(log2 m) = bit length of m - 1, exact from frexp's exponent
+    least = np.zeros(n + 1, dtype=np.int64)
+    least[1:] = np.frexp(np.arange(n))[1]
+    # pending blocks at the current depth, and their replicate
+    sizes = np.full(count, n, dtype=np.int64)
+    owner = np.arange(count)
+    depth = 0
+    while True:
+        np.maximum.at(heights, owner, depth + least[sizes])
+        keep = depth + sizes - 1 > heights[owner]
+        if not keep.any():
+            return heights
+        sizes, owner = sizes[keep], owner[keep]
         left = draw(sizes, rng)
         sizes = np.concatenate((left, sizes - left))
         owner = np.concatenate((owner, owner))
-        keep = sizes >= 2
-        sizes, owner = sizes[keep], owner[keep]
-    return heights
+        depth += 1
 
 
 def _seeded_heights(

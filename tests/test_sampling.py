@@ -443,6 +443,94 @@ class TestMonteCarlo:
             mc_heights(BstKernel(), 5, 0)
 
 
+SPLIT_RULES = {
+    "k=1": lambda m: 1,
+    "k=m-1": lambda m: m - 1,
+    "k=m//2": lambda m: m // 2,
+    "k=ceil(m/3)": lambda m: -(-m // 3),
+    "by m mod 3": lambda m: (1, m // 2, m - 1)[m % 3],
+}
+
+
+def rule_drawer(rule, asked=None):
+    """A level drawer that splits every block of m leaves at rule(m), recording the sizes asked."""
+
+    def draw(sizes, rng):
+        if asked is not None:
+            asked.append(sorted(sizes.tolist()))
+        return np.array([rule(m) for m in sizes.tolist()], dtype=np.int64)
+
+    return draw
+
+
+def rule_tree_height(rule, n):
+    """Height of the fully grown tree that splits m leaves at rule(m), by recursion."""
+
+    @functools.cache
+    def height(m):
+        return 0 if m == 1 else 1 + max(height(rule(m)), height(m - rule(m)))
+
+    return height(n)
+
+
+def rule_tree_levels(rule, n):
+    """Block sizes of the fully grown tree, one list per depth."""
+    levels = [[n]]
+    while any(m >= 2 for m in levels[-1]):
+        levels.append([part for m in levels[-1] if m >= 2 for part in (rule(m), m - rule(m))])
+    return levels
+
+
+class TestPrunedGrowth:
+    """Monte Carlo grows only the blocks that can still raise a replicate's height."""
+
+    @pytest.mark.parametrize("rule", SPLIT_RULES.values(), ids=SPLIT_RULES.keys())
+    def test_heights_are_those_of_the_full_tree(self, rule):
+        draw = rule_drawer(rule)
+        for n in range(1, 201):
+            got = _block_heights(draw, n, 3, np.random.default_rng(0))
+            assert got.tolist() == [rule_tree_height(rule, n)] * 3, n
+
+    def test_three_leaves_or_fewer_take_no_draw(self):
+        def refuse(sizes, rng):
+            raise AssertionError(f"drew at sizes {sizes}")
+
+        for n in (1, 2, 3):
+            assert _block_heights(refuse, n, 5, np.random.default_rng(0)).tolist() == [n - 1] * 5
+
+    @pytest.mark.parametrize("rule", SPLIT_RULES.values(), ids=SPLIT_RULES.keys())
+    def test_only_blocks_that_could_raise_the_height_are_split(self, rule):
+        # at depth d the full tree's blocks so far force a height of at least
+        # floor = max(d' + ceil(log2 m)); a block of m leaves at d can raise it
+        # only if d + m - 1 > floor, and is split exactly when it and every
+        # block above it could
+        for n in (4, 5, 17, 64, 100, 200):
+            asked = []
+            _block_heights(rule_drawer(rule, asked), n, 2, np.random.default_rng(0))
+            floor, live, want = 0, [n], []
+            for d, level in enumerate(rule_tree_levels(rule, n)):
+                floor = max(floor, *(d + (m - 1).bit_length() for m in level))
+                split = [m for m in live if d + m - 1 > floor]
+                if not split:
+                    break
+                want.append(sorted(split * 2))
+                live = [part for m in split for part in (rule(m), m - rule(m))]
+            assert asked == want, n
+            # a full tree has n - 1 inner nodes, a cherry among them
+            assert sum(map(len, asked)) < 2 * (n - 1)
+
+    def test_memory_of_a_bst_block(self):
+        # one block at n = 20000 traced 26.5 MiB when every inner node was
+        # grown, and 6.8 MiB with the blocks that cannot raise a height dropped
+        tracemalloc.start()
+        try:
+            mc_heights(BstKernel(), 20_000, MC_BLOCK, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+
+
 class _FixedUniforms:
     """Stands in for a generator: hands out the given uniforms in order."""
 
@@ -786,10 +874,22 @@ class TestHeightLaw:
     )
     @pytest.mark.parametrize("path", ["auto", "cdf"])
     def test_histogram_matches_height_cdf(self, kernel, path):
-        n, replicates = 12, 20_000
-        cdf = height_cdf(kernel, n, tail_tol=0.0).values
-        law = np.diff(np.concatenate(([0.0], cdf)))
-        heights = mc_heights(on_path(kernel, path), n, replicates, seed=2024)
-        observed = np.bincount(heights, minlength=law.size).astype(float)
-        assert observed.size == law.size  # no height beyond the exact support
-        assert pooled_chisquare_pvalue(observed, law * replicates) > HEIGHT_LAW_ALPHA
+        assert_height_law(on_path(kernel, path), kernel, 12)
+
+    @pytest.mark.parametrize(
+        "kernel", [BstKernel(), UniformKernel(), BinomialKernel(0.3)], ids=lambda k: k.describe()
+    )
+    @pytest.mark.parametrize("path", ["auto", "cdf"])
+    def test_histogram_matches_height_cdf_where_blocks_are_dropped(self, kernel, path):
+        # at n = 64 most blocks are dropped undrawn (see TestPrunedGrowth)
+        assert_height_law(on_path(kernel, path), kernel, 64)
+
+
+def assert_height_law(sampled, kernel, n, replicates=20_000):
+    """mc_heights of the sampled kernel against the exact height law of kernel at size n."""
+    cdf = height_cdf(kernel, n, tail_tol=0.0).values
+    law = np.diff(np.concatenate(([0.0], cdf)))
+    heights = mc_heights(sampled, n, replicates, seed=2024)
+    observed = np.bincount(heights, minlength=law.size).astype(float)
+    assert observed.size == law.size  # no height beyond the exact support
+    assert pooled_chisquare_pvalue(observed, law * replicates) > HEIGHT_LAW_ALPHA
