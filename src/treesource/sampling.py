@@ -11,9 +11,10 @@ of the other kernels, drawn by inverse CDF, grow a batch of seeds at a
 time, one tree level at a time, with one vectorized draw per level for
 every pending block of every tree in the batch; a block's place in its
 tree's pre-order, and so the uniform it reads, follows from its parent's
-split.  Monte Carlo grows its replicates one level at a time in the same
-way, but as it returns heights alone it grows only the blocks that can
-still raise their replicate's height (_block_heights).
+split.  Monte Carlo grows its replicates one step at a time, with one
+vectorized draw per step for every pending block, each at its own depth;
+as it returns heights alone it grows only the blocks that can still raise
+their replicate's height (_block_heights).
 
 How a left share is drawn follows from the kernel alone: bst draws a
 uniform integer and binomial a binomial variate.  Another kernel of product
@@ -21,10 +22,11 @@ form, sigma(k, m-k) = u_k * u_(m-k) / z_m (uniform), draws by rejection from
 u alone (_ProductDraw): from a uniform triple (r0, r1, r2) it proposes k
 with probability proportional to u_k + u_(m-k) and accepts it with
 probability f(k) / f(floor(m/2)), f(k) = u_k * u_(m-k) / (u_k + u_(m-k)); a
-rejected triple is replaced by a fresh one.  Every other kernel (tables,
-whatever their fallback) inverts the split row's CDF, read from one
-_CdfTable built once per call.  Scalar and Monte Carlo draws apply the same
-rule, so they return the same k for the same uniforms.
+rejected triple draws 0, "not yet", and its block is drawn again from a
+fresh triple.  Every other kernel (tables, whatever their fallback)
+inverts the split row's CDF, read from one _CdfTable built once per call.
+Scalar and Monte Carlo draws apply the same rule, so they return the same
+k for the same uniforms.
 
 Reproducibility contract, for a fixed build of this package (bit-identical
 output across numpy versions is not promised):
@@ -36,25 +38,26 @@ output across numpy versions is not promised):
   replicate_seed(seed, r) and is bit-stable per seed.
 * A tree drawn by rejection takes its uniforms as triples, in blocks of
   n - 1 triples laid out as rng.random((3, n - 1)), and takes a further
-  block whenever one runs out; an inverse-CDF tree takes rng.random(n - 1)
-  and reads uniform i at its inner node of pre-order index i, whatever
-  batch it grows in.
+  block whenever one runs out; a block whose triple is rejected is drawn
+  again at once, from the next triple.  An inverse-CDF tree takes
+  rng.random(n - 1) and reads uniform i at its inner node of pre-order
+  index i, whatever batch it grows in.
 * mc_heights and mc_expected_height are pure functions of (kernel, n,
   replicates, seed).  Replicates are grown in blocks of MC_BLOCK, block b
   from its own generator seeded with replicate_seed(seed, b), so adding
-  replicates leaves every full block unchanged.  A level drawn by
-  rejection takes rng.random((3, s)) for its s pending blocks, then, while
-  t of them are rejected, rng.random((3, 4t)) for four more triples each
-  (block i's are columns i, t + i, 2t + i and 3t + i), keeping the first
-  one accepted.  A block that cannot raise its replicate's height is not
-  grown: at depth d a block of m leaves is drawn only while d + m - 1
-  exceeds the largest d' + ceil(log2 m') over its replicate's blocks so
-  far, so leaves and blocks of 2 or 3 leaves take no draw.  The heights
-  are exact for the draws made and follow the law of sample_height, but
-  are not the heights sample_height draws at any replicate seed, nor those
-  of releases that grew every block.  mc_expected_height_grid gives at
-  each size n exactly mc_expected_height(kernel, n, replicates,
-  replicate_seed(seed, n)).
+  replicates leaves every full block unchanged.  Each step makes one draw
+  for its s pending blocks, in their order; a rejection kernel takes
+  rng.random((3, s)), one triple per block, and a block whose triple is
+  rejected stays pending, at its depth, for the next step.  A block that
+  cannot raise its replicate's height is not grown: at depth d a block of
+  m leaves is drawn only while d + m - 1 exceeds the largest
+  d' + ceil(log2 m') over its replicate's blocks so far, so leaves and
+  blocks of 2 or 3 leaves take no draw.  The heights are exact for the
+  draws made and follow the law of sample_height, but are not the heights
+  sample_height draws at any replicate seed, nor those of releases that
+  grew every block or drew each level's rejected blocks again before the
+  next level.  mc_expected_height_grid gives at each size n exactly
+  mc_expected_height(kernel, n, replicates, replicate_seed(seed, n)).
 """
 
 from __future__ import annotations
@@ -82,11 +85,11 @@ __all__ = [
 ]
 
 # Replicates grown together by mc_heights.  It fixes which generator draws
-# each replicate, so changing it changes every Monte Carlo value.  A level's
+# each replicate, so changing it changes every Monte Carlo value.  A step's
 # pending blocks take O(MC_BLOCK * n) memory at most, and far less once the
 # blocks that cannot raise a height are dropped.  One block of 256, traced by
-# tracemalloc: bst 28.1 MiB at n = 10^5 and 74.6 MiB at 3 * 10^5;
-# binomial(1/2) 145.5 MiB and 493.9 MiB.  Larger blocks were no faster at
+# tracemalloc: bst 28.1 MiB at n = 10^5 and 73.5 MiB at 3 * 10^5;
+# binomial(1/2) 143.5 MiB and 486.0 MiB.  Larger blocks were no faster at
 # n <= 4096.
 MC_BLOCK = 256
 
@@ -104,16 +107,6 @@ _TABLE_LIMIT = 4096
 # loop it replaced), and 2000 trees at n = 50 took 983, 84, 50, 38, 36 and
 # 38 ms: no faster beyond 2^15.
 _BATCH_CELLS = 1 << 16
-
-# Triples that each rejected entry of a Monte Carlo level draws per retry
-# round; the first accepted one is kept.  With only the blocks that can
-# raise a height grown, the least CPU time of 7 calls for 1, 2, 4, 8 and 16
-# triples, two sweeps on a shared 2-vCPU machine, was: uniform at n = 4096
-# with 100 replicates 58-100, 48-79, 44-74, 48-85 and 62-98 ms (1583, 1022,
-# 768, 705 and 732 _ProductDraw.draw calls); the grid 40:240:40 with 100
-# replicates 32-56, 26-47, 24-39, 24-43 and 27-43 ms; a grid of 64 sizes
-# 2:512:8 512-529, 397-398, 359-401, 387-391 and 451-477 ms.
-_RETRIES = 4
 
 _GOLDEN64 = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -140,31 +133,26 @@ def _rng(seed: "int | np.random.Generator") -> np.random.Generator:
 
 def _split_drawer(
     kernel: SplitKernel, n: int
-) -> Callable[[np.random.Generator], Callable[[int], int]]:
+) -> "Callable[[np.random.Generator], Callable[[int], int]] | None":
     """drawer(rng) is one size-n tree's draw function k = draw(m) for the left share.
 
-    It serves the kernels not drawn by inverse CDF: bst, binomial and those
-    of product form.  A rejection tree takes its uniform triples in blocks
-    of n - 1.
+    It serves bst, binomial and the kernels of product form, and is None for
+    every other kernel, drawn by inverse CDF.  A rejection tree takes its
+    uniform triples in blocks of n - 1, one per draw, and its draw returns 0
+    for a rejected triple.
     """
     if isinstance(kernel, BstKernel):
         return lambda rng: lambda m: int(rng.integers(1, m))
     if isinstance(kernel, BinomialKernel):
         p = kernel.p
         return lambda rng: lambda m: 1 + int(rng.binomial(m - 2, p))
+    if kernel._split_factors is None:
+        return None
     draw_one = _ProductDraw(kernel, n).draw_one
 
     def rejection_drawer(rng: np.random.Generator) -> Callable[[int], int]:
         triples = _triples(rng, n - 1)
-
-        def draw(m: int) -> int:
-            k = 0
-            while not k:
-                r0, r1, r2 = next(triples)
-                k = draw_one(m, r0, r1, r2)
-            return k
-
-        return draw
+        return lambda m: draw_one(m, *next(triples))
 
     return rejection_drawer
 
@@ -186,12 +174,14 @@ def _preorder(draw: Callable[[int], int], n: int) -> tuple[str, int]:
             bits.append("0")
             if depth > height:
                 height = depth
-        else:
+        elif k := draw(m):
             bits.append("1")
-            k = draw(m)
             depth += 1
             stack.append((m - k, depth))
             stack.append((k, depth))
+        else:
+            # a rejected draw: the block is popped, and drawn, again next
+            stack.append((m, depth))
     return "".join(bits), height
 
 
@@ -211,10 +201,10 @@ def sample_preorder(
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if isinstance(kernel, (BstKernel, BinomialKernel)) or kernel._split_factors is not None:
-        drawer = _split_drawer(kernel, n)
-        return (_preorder(drawer(_rng(seed)), n) for seed in seeds)
-    return _grown_preorder(_CdfTable(kernel, min(n, _TABLE_LIMIT)), n, seeds)
+    drawer = _split_drawer(kernel, n)
+    if drawer is None:
+        return _grown_preorder(_CdfTable(kernel, min(n, _TABLE_LIMIT)), n, seeds)
+    return (_preorder(drawer(_rng(seed)), n) for seed in seeds)
 
 
 def _grown_preorder(
@@ -391,7 +381,7 @@ class _CdfTable:
 
     It serves the kernels that are neither bst, binomial nor of product
     form, that is table kernels, whatever their fallback: their Monte Carlo
-    levels and their trees, which sample_preorder grows a batch at a time,
+    steps and their trees, which sample_preorder grows a batch at a time,
     one draw per level.
 
     Rows of sizes 2..limit are stored back to back in one flat array, each
@@ -452,7 +442,11 @@ class _CdfTable:
 def _level_drawer(
     kernel: SplitKernel, n: int
 ) -> Callable[[np.ndarray, np.random.Generator], np.ndarray]:
-    """Vectorized k = draw(m, rng): one left share per entry of the size array m <= n."""
+    """Vectorized k = draw(m, rng): one left share per entry of the size array m <= n.
+
+    A rejection kernel's share is 0 where its triple is rejected; no other
+    kernel draws 0.
+    """
     if isinstance(kernel, BstKernel):
         return lambda m, rng: rng.integers(1, m)
     if isinstance(kernel, BinomialKernel):
@@ -460,20 +454,7 @@ def _level_drawer(
         return lambda m, rng: 1 + rng.binomial(m - 2, p)
     if kernel._split_factors is not None:
         product = _ProductDraw(kernel, n)
-
-        def draw(m: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-            # rejected entries draw again before the level returns
-            k = product.draw(m, *rng.random((3, m.size)))
-            todo = np.flatnonzero(k == 0)
-            while todo.size:
-                tries = product.draw(
-                    np.tile(m[todo], _RETRIES), *rng.random((3, _RETRIES * todo.size))
-                ).reshape(_RETRIES, todo.size)
-                k[todo] = tries[np.argmax(tries != 0, axis=0), np.arange(todo.size)]
-                todo = todo[k[todo] == 0]
-            return k
-
-        return draw
+        return lambda m, rng: product.draw(m, *rng.random((3, m.size)))
     table = _CdfTable(kernel, min(n, _TABLE_LIMIT))
     return lambda m, rng: table.draw(m, rng.random(m.size))
 
@@ -484,35 +465,45 @@ def _block_heights(
     count: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Heights of count trees of size n, grown together one level at a time.
+    """Heights of count trees of size n, grown together one step at a time.
 
-    Only blocks that can still raise their tree's height are grown.  An
-    m-leaf subtree is at least ceil(log2 m) and at most m - 1 tall, so at
-    depth d a block lifts its tree's height to at least d + ceil(log2 m),
-    and is dropped, undrawn, once d + m - 1 cannot exceed that floor over
-    its tree's blocks.  Leaves and blocks of 2 or 3 leaves always go.  A
-    dropped subtree cannot set the maximum, and every draw depends only on
-    its block's size and fresh uniforms, so each height is exact given the
-    draws made and keeps its law.
+    Each step draws once for every pending block, at the block's own depth.
+    A draw of 0, a rejected triple, means "not yet": the block splits into
+    an empty block and itself, both at its depth, so it comes back whole in
+    the next step.  Only blocks that can still raise their tree's height
+    are grown.  An m-leaf subtree is at least ceil(log2 m) and at most
+    m - 1 tall, so at depth d a block lifts its tree's height to at least
+    d + ceil(log2 m), and is dropped, undrawn, once d + m - 1 cannot exceed
+    that floor over its tree's blocks.  Empty blocks, leaves and blocks of 2
+    or 3 leaves always go.  A dropped subtree cannot set the maximum, and
+    every draw depends only on its block's size and fresh uniforms, so each
+    height is exact given the draws made and keeps its law.
     """
     heights = np.zeros(count, dtype=np.int64)
     # least[m] = ceil(log2 m) = bit length of m - 1, exact from frexp's exponent
     least = np.zeros(n + 1, dtype=np.int64)
     least[1:] = np.frexp(np.arange(n))[1]
-    # pending blocks at the current depth, and their replicate
+    # pending blocks: size, replicate and depth
     sizes = np.full(count, n, dtype=np.int64)
     owner = np.arange(count)
-    depth = 0
+    depth = np.zeros(count, dtype=np.int32)
     while True:
         np.maximum.at(heights, owner, depth + least[sizes])
-        keep = depth + sizes - 1 > heights[owner]
-        if not keep.any():
+        # indices, not a mask: three arrays of 10^5 entries took 2.0 ms to
+        # select by a random mask and 0.29 ms by its indices
+        keep = np.flatnonzero(depth + sizes - 1 > heights[owner])
+        if not keep.size:
             return heights
-        sizes, owner = sizes[keep], owner[keep]
+        sizes, owner, depth = sizes[keep], owner[keep], depth[keep]
         left = draw(sizes, rng)
-        sizes = np.concatenate((left, sizes - left))
+        depth += left != 0
+        depth = np.concatenate((depth, depth))
         owner = np.concatenate((owner, owner))
-        depth += 1
+        sizes = np.concatenate((left, sizes - left))
+        # freed now, not when rebound in the next step: one 256-replicate
+        # block at n = 10^5 then traces 28.1 MiB for bst and 143.5 MiB for
+        # binomial(1/2), against 33.9 and 174.4 MiB
+        del keep, left
 
 
 def _seeded_heights(

@@ -519,6 +519,22 @@ class TestPrunedGrowth:
             # a full tree has n - 1 inner nodes, a cherry among them
             assert sum(map(len, asked)) < 2 * (n - 1)
 
+    @pytest.mark.parametrize("rule", SPLIT_RULES.values(), ids=SPLIT_RULES.keys())
+    def test_a_rejected_block_waits_at_its_depth(self, rule):
+        # a draw of 0 for every entry on every other call: each block comes
+        # back whole at its depth, so it is asked exactly twice, in two calls
+        # in a row, and the heights are those of the full tree
+        def waiting(asked):
+            draw, calls = rule_drawer(rule, asked), itertools.count()
+            return lambda sizes, rng: draw(sizes, rng) * (next(calls) % 2)
+
+        for n in range(1, 201):
+            asked, once = [], []
+            got = _block_heights(waiting(asked), n, 3, np.random.default_rng(0))
+            assert got.tolist() == [rule_tree_height(rule, n)] * 3, n
+            _block_heights(rule_drawer(rule, once), n, 3, np.random.default_rng(0))
+            assert asked[::2] == asked[1::2] == once, n
+
     def test_memory_of_a_bst_block(self):
         # one block at n = 20000 traced 26.5 MiB when every inner node was
         # grown, and 6.8 MiB with the blocks that cannot raise a height dropped
@@ -731,14 +747,20 @@ class TestProductDraw:
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 9, 10, 33, 64])
     def test_draws_follow_the_split_row(self, m):
+        # one triple per entry, the columns of rng.random((3, draws)); a draw
+        # is 0 where its triple is rejected, and the accepted ones follow the row
         kernel = UniformKernel()
         draws = 20_000
         k = _level_drawer(kernel, 64)(np.full(draws, m), np.random.default_rng(m))
-        observed = np.bincount(k, minlength=m)[1:].astype(float)
-        assert observed.sum() == draws  # every share in 1..m-1
+        r = np.random.default_rng(m).random((3, draws))
+        assert np.array_equal(k, _ProductDraw(kernel, 64).draw(np.full(draws, m), *r))
+        accepted = k[k != 0]
+        assert np.all((accepted >= 1) & (accepted <= m - 1))
+        assert accepted.size > 0.7 * draws
         if m == 2:
             return
-        assert pooled_chisquare_pvalue(observed, kernel.split_pmf(m) * draws) > CHI2_ALPHA
+        observed = np.bincount(accepted, minlength=m)[1:].astype(float)
+        assert pooled_chisquare_pvalue(observed, kernel.split_pmf(m) * accepted.size) > CHI2_ALPHA
 
     def test_scalar_and_vectorized_forms_agree(self):
         n = 200
@@ -763,28 +785,6 @@ class TestProductDraw:
         m = np.arange(2, n + 1)
         top = np.full(m.size, EDGES[-1])
         assert np.array_equal(product.draw(m, top, 0 * top, 0 * top), m - 1)
-
-    def test_levels_retry_only_rejected_entries(self):
-        # a level takes one triple per entry, then four per rejected entry
-        # (entry i of t takes columns i, t + i, 2t + i, 3t + i) until none is left
-        n = 300
-        product = _ProductDraw(UniformKernel(), n)
-        sizes = np.random.default_rng(3).integers(2, n + 1, size=500)
-        rng = np.random.default_rng(4)
-        want = product.draw(sizes, *rng.random((3, sizes.size)))
-        todo, rounds = np.flatnonzero(want == 0), 0
-        while todo.size:
-            t, r = todo.size, rng.random((3, sampling._RETRIES * todo.size))
-            rounds += 1
-            for i, e in enumerate(todo):
-                for c in range(sampling._RETRIES):
-                    want[e] = product.draw_one(int(sizes[e]), *r[:, c * t + i].tolist())
-                    if want[e]:
-                        break
-            todo = todo[want[todo] == 0]
-        assert rounds >= 1
-        got = _level_drawer(UniformKernel(), n)(sizes, np.random.default_rng(4))
-        assert np.array_equal(got, want)
 
     def test_uniform_factors_meet_the_side_condition(self):
         # f(k) <= f(h) up to rounding, so r1 * f(h) < f(k) accepts k with
