@@ -206,9 +206,10 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     if args.replicates < 1:
         raise ValueError(f"need replicates >= 1, got {args.replicates}")
     heights = args.what == "heights"
-    seeds = (replicate_seed(args.seed, r) for r in range(args.replicates))
     lines = ["replicate,height" if heights else "replicate,shape"]
-    for r, (bits, height) in enumerate(sample_preorder(kernel, args.n, seeds)):
+    # a derived seed, as mc takes, so that every integer --seed is accepted
+    trees = sample_preorder(kernel, args.n, args.replicates, replicate_seed(args.seed, 0))
+    for r, (bits, height) in enumerate(trees):
         lines.append(f"{r},{height if heights else bits}")
     manifest = RunManifest(
         subcommand="sample",

@@ -3,66 +3,62 @@
 A sample is grown top-down: starting from the full leaf budget, each
 pending block of m leaves either becomes a leaf (m = 1) or draws a left
 share k from the size-m split row and splits into blocks of k and m - k.
-sample_shape, sample_tree and sample_height are the one-seed forms of
-sample_preorder.  For bst, binomial and product-form kernels it expands
-each tree by one traversal with an explicit work stack in pre-order, so
-comb-like trees of any size cannot overflow the interpreter stack.  Trees
-of the other kernels, drawn by inverse CDF, grow a batch of seeds at a
-time, one tree level at a time, with one vectorized draw per level for
-every pending block of every tree in the batch; a block's place in its
-tree's pre-order, and so the uniform it reads, follows from its parent's
-split.  Monte Carlo grows its replicates one step at a time, with one
-vectorized draw per step for every pending block, each at its own depth;
-as it returns heights alone it grows only the blocks that can still raise
-their replicate's height (_block_heights).
+Trees and Monte Carlo heights grow the same way: a block of trees at a
+time, one step at a time, with one vectorized draw per step for every
+pending block of every tree, each block at its own depth.  sample_preorder
+writes each tree's pre-order shape bits as it grows (_grow): a block's bit
+position follows from its parent's and its left sibling's size, so no
+stack is walked and comb-like trees of any size cannot overflow the
+interpreter stack.  sample_shape, sample_tree and sample_height are its
+one-tree forms.  Monte Carlo returns heights alone, so it grows only the
+blocks that can still raise their tree's height (_block_heights).
 
-How a left share is drawn follows from the kernel alone: bst draws a
-uniform integer and binomial a binomial variate.  Another kernel of product
-form, sigma(k, m-k) = u_k * u_(m-k) / z_m (uniform), draws by rejection from
-u alone (_ProductDraw): from a uniform triple (r0, r1, r2) it proposes k
-with probability proportional to u_k + u_(m-k) and accepts it with
-probability f(k) / f(floor(m/2)), f(k) = u_k * u_(m-k) / (u_k + u_(m-k)); a
-rejected triple draws 0, "not yet", and its block is drawn again from a
-fresh triple.  Every other kernel (tables, whatever their fallback)
-inverts the split row's CDF, read from one _CdfTable built once per call.
-Scalar and Monte Carlo draws apply the same rule, so they return the same
-k for the same uniforms.
+How a left share is drawn follows from the kernel alone (_level_drawer):
+bst draws a uniform integer and binomial a binomial variate.  Another
+kernel of product form, sigma(k, m-k) = u_k * u_(m-k) / z_m (uniform),
+draws by rejection from u alone (_ProductDraw): from a uniform triple
+(r0, r1, r2) it proposes k with probability proportional to u_k + u_(m-k)
+and accepts it with probability f(k) / f(floor(m/2)), f(k) = u_k * u_(m-k)
+/ (u_k + u_(m-k)).  A rejected triple draws 0, "not yet", and its block
+waits, whole and at its depth, for the next step: an accepted proposal has
+the target law whatever attempts came before it.  Every other kernel
+(tables, whatever their fallback) inverts the split row's CDF, read from
+one _CdfTable built once per call.
 
 Reproducibility contract, for a fixed build of this package (bit-identical
 output across numpy versions is not promised):
 
-* sample_preorder yields, for each seed, the shape bits and height that
-  sample_shape and sample_height give at that seed; all four are pure
-  functions of (kernel, size, seed), and sample_tree builds the tree of
-  sample_shape's bits.  The sample subcommand draws replicate r from
-  replicate_seed(seed, r) and is bit-stable per seed.
-* A tree drawn by rejection takes its uniforms as triples, in blocks of
-  n - 1 triples laid out as rng.random((3, n - 1)), and takes a further
-  block whenever one runs out; a block whose triple is rejected is drawn
-  again at once, from the next triple.  An inverse-CDF tree takes
-  rng.random(n - 1) and reads uniform i at its inner node of pre-order
-  index i, whatever batch it grows in.
+* sample_preorder(kernel, n, count, seed) is a pure function of its
+  arguments for an integer seed.  It grows its trees in blocks of
+  max(1, _BATCH_CELLS // n), block after block from the one generator
+  _rng(seed), so a larger count leaves every full block unchanged; a
+  generator seed is advanced by the trees drawn.  Each step makes one
+  draw for the s pending blocks of the block of trees, in their order: a
+  rejection kernel takes rng.random((3, s)), one triple per pending block,
+  and an inverse-CDF kernel rng.random(s).  sample_shape, sample_height
+  and sample_tree take the one tree of sample_preorder(kernel, n, 1,
+  seed).  The sample subcommand makes one sample_preorder call, so its
+  heights are those of its trees for the same seed.  Releases that grew
+  each tree from its own seed, replicate_seed(seed, r), one split per
+  inner node, drew other trees of the same law.
 * mc_heights and mc_expected_height are pure functions of (kernel, n,
   replicates, seed).  Replicates are grown in blocks of MC_BLOCK, block b
   from its own generator seeded with replicate_seed(seed, b), so adding
-  replicates leaves every full block unchanged.  Each step makes one draw
-  for its s pending blocks, in their order; a rejection kernel takes
-  rng.random((3, s)), one triple per block, and a block whose triple is
-  rejected stays pending, at its depth, for the next step.  A block that
-  cannot raise its replicate's height is not grown: at depth d a block of
-  m leaves is drawn only while d + m - 1 exceeds the largest
+  replicates leaves every full block unchanged.  Each step draws as
+  sample_preorder's steps do, for the pending blocks in their order.  A
+  block that cannot raise its replicate's height is not grown: at depth d
+  a block of m leaves is drawn only while d + m - 1 exceeds the largest
   d' + ceil(log2 m') over its replicate's blocks so far, so leaves and
   blocks of 2 or 3 leaves take no draw.  The heights are exact for the
   draws made and follow the law of sample_height, but are not the heights
-  sample_height draws at any replicate seed, nor those of releases that
-  grew every block or drew each level's rejected blocks again before the
-  next level.  mc_expected_height_grid gives at each size n exactly
+  of the trees sample_preorder draws from any seed, nor those of releases
+  that grew every block or drew each level's rejected blocks again before
+  the next level.  mc_expected_height_grid gives at each size n exactly
   mc_expected_height(kernel, n, replicates, replicate_seed(seed, n)).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -98,14 +94,14 @@ MC_BLOCK = 256
 # inverse CDF (tables, whatever their fallback) build one.
 _TABLE_LIMIT = 4096
 
-# Cells that sample_preorder grows together for a kernel drawn by inverse CDF:
-# a batch holds max(1, _BATCH_CELLS // n) trees of size n, and its arrays
-# trace about 42 bytes per cell, 2.7 MiB at 2^16.  On a 2-vCPU machine, with
-# a table over binomial(1/2) and not counting its build, 200 trees at
-# n = 400 took 159, 84, 24, 12.6, 11.6 and 11.0 ms at 1, 2^10, 2^12, 2^14,
-# 2^16 and 2^20 cells (one tree per draw was twice as slow as the scalar
-# loop it replaced), and 2000 trees at n = 50 took 983, 84, 50, 38, 36 and
-# 38 ms: no faster beyond 2^15.
+# Cells that sample_preorder grows together: a block holds
+# max(1, _BATCH_CELLS // n) trees of size n, and its arrays trace about 26
+# bytes per cell (29 for binomial), 1.6 MiB at 2^16, besides a table
+# kernel's table.  On a 2-vCPU machine, 200 trees at n = 400 took 60, 10.4,
+# 4.7, 3.5 and 3.1 ms for bst at 2^10, 2^12, 2^14, 2^16 and 2^20 cells, 220,
+# 59, 33, 12.4 and 9.6 ms for uniform, and 69, 20, 9.8, 8.2 and 7.6 ms for a
+# table over binomial(1/2), its build included; 2000 trees at n = 50 were
+# no faster beyond 2^15 for any of them.
 _BATCH_CELLS = 1 << 16
 
 _GOLDEN64 = 0x9E3779B97F4A7C15
@@ -131,134 +127,68 @@ def _rng(seed: "int | np.random.Generator") -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _split_drawer(
-    kernel: SplitKernel, n: int
-) -> "Callable[[np.random.Generator], Callable[[int], int]] | None":
-    """drawer(rng) is one size-n tree's draw function k = draw(m) for the left share.
-
-    It serves bst, binomial and the kernels of product form, and is None for
-    every other kernel, drawn by inverse CDF.  A rejection tree takes its
-    uniform triples in blocks of n - 1, one per draw, and its draw returns 0
-    for a rejected triple.
-    """
-    if isinstance(kernel, BstKernel):
-        return lambda rng: lambda m: int(rng.integers(1, m))
-    if isinstance(kernel, BinomialKernel):
-        p = kernel.p
-        return lambda rng: lambda m: 1 + int(rng.binomial(m - 2, p))
-    if kernel._split_factors is None:
-        return None
-    draw_one = _ProductDraw(kernel, n).draw_one
-
-    def rejection_drawer(rng: np.random.Generator) -> Callable[[int], int]:
-        triples = _triples(rng, n - 1)
-        return lambda m: draw_one(m, *next(triples))
-
-    return rejection_drawer
-
-
-def _triples(rng: np.random.Generator, count: int) -> Iterator[tuple[float, float, float]]:
-    """Uniform triples, the columns of rng.random((3, count)), one such block at a time."""
-    while True:
-        yield from zip(*rng.random((3, count)).tolist())
-
-
-def _preorder(draw: Callable[[int], int], n: int) -> tuple[str, int]:
-    """Pre-order shape bits and height of one tree, drawing one split per inner node."""
-    bits = []
-    height = 0
-    stack = [(n, 0)]
-    while stack:
-        m, depth = stack.pop()
-        if m == 1:
-            bits.append("0")
-            if depth > height:
-                height = depth
-        elif k := draw(m):
-            bits.append("1")
-            depth += 1
-            stack.append((m - k, depth))
-            stack.append((k, depth))
-        else:
-            # a rejected draw: the block is popped, and drawn, again next
-            stack.append((m, depth))
-    return "".join(bits), height
-
-
 def sample_preorder(
-    kernel: SplitKernel, n: int, seeds: "Iterable[int | np.random.Generator]"
+    kernel: SplitKernel, n: int, count: int, seed: "int | np.random.Generator"
 ) -> Iterator[tuple[str, int]]:
-    """Pre-order shape bits ('1' inner, '0' leaf) and height of one size-n tree per seed.
+    """Pre-order shape bits ('1' inner, '0' leaf) and height of each of count size-n trees.
 
-    A generator seed is advanced by its tree, so repeating one generator
-    draws the trees of its stream in turn.  bst, binomial and product-form
-    kernels draw one tree at a time, one split per inner node.  Every other
-    kernel inverts split rows read from one table of cumulative rows, built
-    once per call, and grows its trees in batches of max(1, _BATCH_CELLS // n)
-    seeds: each tree takes rng.random(n - 1) from its seed, in seed order,
-    before any tree of the batch is yielded.  So a loop over many trees
-    should make one call.
+    The trees grow in blocks of max(1, _BATCH_CELLS // n), block after
+    block from the one generator _rng(seed), and each block is grown whole
+    before its trees are yielded.  The sizes are checked, and the draw
+    function built, at the call.  A loop over many trees should make one
+    call: a table kernel builds its table of cumulative rows once per call.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    drawer = _split_drawer(kernel, n)
-    if drawer is None:
-        return _grown_preorder(_CdfTable(kernel, min(n, _TABLE_LIMIT)), n, seeds)
-    return (_preorder(drawer(_rng(seed)), n) for seed in seeds)
+    if count < 0:
+        raise ValueError(f"need count >= 0, got {count}")
+    draw, rng, batch = _level_drawer(kernel, n), _rng(seed), max(1, _BATCH_CELLS // n)
+    blocks = (min(batch, count - lo) for lo in range(0, count, batch))
+    return (tree for size in blocks for tree in _grow(draw, n, size, rng))
 
 
-def _grown_preorder(
-    table: "_CdfTable", n: int, seeds: "Iterable[int | np.random.Generator]"
-) -> Iterator[tuple[str, int]]:
-    """sample_preorder for a kernel drawn by inverse CDF, a batch of seeds at a time."""
-    batch = max(1, _BATCH_CELLS // n)
-    uniforms = []
-    for seed in seeds:
-        uniforms.append(_rng(seed).random(n - 1))
-        if len(uniforms) == batch:
-            yield from _grow(table, n, uniforms)
-            uniforms = []
-    if uniforms:
-        yield from _grow(table, n, uniforms)
+def _grow(
+    draw: Callable[[np.ndarray, np.random.Generator], np.ndarray],
+    n: int,
+    count: int,
+    rng: np.random.Generator,
+) -> list[tuple[str, int]]:
+    """Shape bits and heights of count trees of size n, grown together one step at a time.
 
-
-def _grow(table: "_CdfTable", n: int, uniforms: list[np.ndarray]) -> list[tuple[str, int]]:
-    """Shape bits and heights of one tree per array of n - 1 uniforms, grown one level at a time.
-
-    With u the arrays laid end to end, tree t reads u[t * (n - 1) + i] at
-    its inner node of pre-order index i and writes its shape bits from
-    position t * (2n - 1) on.  A block of m leaves at inner index i and bit
-    position p that splits into (k, m - k) has its left child at (i + 1,
-    p + 1) and its right child at (i + k, p + 2k), as a k-leaf subtree has
-    k - 1 inner nodes and 2k - 1 nodes in all.
+    Each step draws once for every pending block, at the block's own depth.
+    Tree t writes its shape bits from position t * (2n - 1) on.  A block of
+    m leaves at bit position p that splits into (k, m - k) has its left
+    child at p + 1 and its right child at p + 2k, one level deeper, as a
+    k-leaf subtree has 2k - 1 nodes.  A draw of 0, a rejected triple,
+    splits it into an empty block and itself at p and its own depth, so it
+    comes back whole in the next step.
     """
-    count, u = len(uniforms), np.concatenate(uniforms)
     width = 2 * n - 1
-    bits = np.full(count * width, ord("0"), dtype=np.uint8)
-    heights = np.zeros(count, dtype=np.int64)
-    # pending blocks of size >= 2: size, uniform index and bit position
-    m = np.full(count if n >= 2 else 0, n, dtype=np.int64)
-    i = np.arange(m.size) * (n - 1)
-    p = np.arange(m.size) * width
-    level = 0
-    while m.size:
-        # a block of size >= 2 at this level puts leaves one level deeper
-        level += 1
-        heights[i // (n - 1)] = level
-        bits[p] = ord("1")
-        k = table.draw(m, u[i])
-        m = np.concatenate((k, m - k))
-        i = np.concatenate((i + 1, i + k))
-        p = np.concatenate((p + 1, p + 2 * k))
-        keep = m >= 2
-        m, i, p = m[keep], i[keep], p[keep]
-    shapes = bits.tobytes().decode("ascii")
-    return [(shapes[t * width : (t + 1) * width], h) for t, h in enumerate(heights.tolist())]
+    # 1 + depth at each inner node's bit position, 0 at the leaves
+    inner = np.zeros(count * width, dtype=np.int32)
+    # pending blocks: size, bit position and depth
+    sizes = np.full(count, n, dtype=np.int64)
+    p = np.arange(count) * width
+    depth = np.zeros(count, dtype=np.int32)
+    while True:
+        keep = np.flatnonzero(sizes >= 2)
+        if not keep.size:
+            break
+        sizes, p, depth = sizes[keep], p[keep], depth[keep]
+        inner[p] = depth + 1
+        left = draw(sizes, rng)
+        depth += left != 0
+        depth = np.concatenate((depth, depth))
+        p = np.concatenate((p + 1, p + 2 * left))
+        sizes = np.concatenate((left, sizes - left))
+    shapes = np.where(inner > 0, ord("1"), ord("0")).astype(np.uint8).tobytes().decode("ascii")
+    heights = inner.reshape(count, width).max(axis=1).tolist()
+    return [(shapes[t * width : (t + 1) * width], h) for t, h in enumerate(heights)]
 
 
 def sample_shape(kernel: SplitKernel, n: int, seed: "int | np.random.Generator") -> str:
     """Pre-order shape bits of sample_tree(kernel, n, seed) ('1' inner, '0' leaf)."""
-    return next(sample_preorder(kernel, n, [seed]))[0]
+    return next(sample_preorder(kernel, n, 1, seed))[0]
 
 
 def sample_tree(kernel: SplitKernel, n: int, seed: "int | np.random.Generator") -> BinaryTree:
@@ -268,7 +198,7 @@ def sample_tree(kernel: SplitKernel, n: int, seed: "int | np.random.Generator") 
 
 def sample_height(kernel: SplitKernel, n: int, seed: "int | np.random.Generator") -> int:
     """Height of sample_tree(kernel, n, seed) without materializing the tree."""
-    return next(sample_preorder(kernel, n, [seed]))[1]
+    return next(sample_preorder(kernel, n, 1, seed))[1]
 
 
 def sample_uniform_remy(n: int, seed: "int | np.random.Generator") -> BinaryTree:
@@ -329,21 +259,19 @@ class _ProductDraw:
     """Exact rejection draws of the left share for a kernel of product form.
 
     With sigma(k, m-k) = u_k * u_(m-k) / z_m and prefix sums U_i = u_1 +
-    ... + u_i, a uniform triple (r0, r1, r2) proposes
-    j = bisect_right(U_1..U_(m-1), r0 * U_(m-1)) + 1, which has probability
-    u_j / U_(m-1), and k = j if r2 < 1/2, else m - j; so k has probability
-    (u_k + u_(m-k)) / (2 U_(m-1)).  As r0 <= 1 - 2^-53, r0 * U_(m-1) rounds
-    to below U_(m-1), so j <= m - 1 with no clamp.  The draw accepts k exactly
-    when r1 * f(h) < f(k), with f(k) = u_k * u_(m-k) / (u_k + u_(m-k)) and
+    ... + u_i (U_0 = 0), a uniform triple (r0, r1, r2) proposes the least j
+    with U_j > r0 * U_(m-1), which has probability u_j / U_(m-1), and k = j
+    if r2 < 1/2, else m - j; so k has probability (u_k + u_(m-k)) /
+    (2 U_(m-1)).  As r0 <= 1 - 2^-53, r0 * U_(m-1) rounds to below
+    U_(m-1), so j <= m - 1 with no clamp.  The draw accepts k exactly when
+    r1 * f(h) < f(k), with f(k) = u_k * u_(m-k) / (u_k + u_(m-k)) and
     h = floor(m/2), compared cross-multiplied, without a division.  Where
     1/u is convex (see SplitKernel), f(k) <= f(h), so an accepted k has
     probability u_k * u_(m-k) / z_m exactly (the rejection method, Devroye,
     Non-Uniform Random Variate Generation, 1986, II.3), and a triple is
     accepted with probability z_m / (2 U_(m-1) f(h)): at least 0.71 for
     uniform up to m = 4096.  It keeps u, U and the numerator and denominator
-    of f(h) at every size, O(n) memory.  draw_one and draw evaluate the same
-    expressions in the same order, so they return the same k, or 0 for a
-    rejection, for the same triple.
+    of f(h) at every size, O(n) memory.
     """
 
     def __init__(self, kernel: SplitKernel, n: int):
@@ -355,20 +283,9 @@ class _ProductDraw:
         m = np.arange(u.size)
         uh, uhm = u[m >> 1], u[m - (m >> 1)]
         self.top, self.bottom = uh * uhm, uh + uhm
-        # the scalar form indexes memoryviews, which give Python floats
-        self._u, self._prefix = memoryview(u), memoryview(self.prefix)
-        self._top, self._bottom = memoryview(self.top), memoryview(self.bottom)
-
-    def draw_one(self, m: int, r0: float, r1: float, r2: float) -> int:
-        """The left share at one size m from one triple, or 0 if the triple is rejected."""
-        prefix, u = self._prefix, self._u
-        j = bisect_right(prefix, r0 * prefix[m - 1], 1, m)
-        k = j if r2 < 0.5 else m - j
-        uk, ukm = u[k], u[m - k]
-        return k if r1 * self._top[m] * (uk + ukm) < uk * ukm * self._bottom[m] else 0
 
     def draw(self, m: np.ndarray, r0: np.ndarray, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
-        """draw_one elementwise: left shares, 0 where the triple is rejected."""
+        """Left shares at the sizes m, one triple per entry, 0 where the triple is rejected."""
         prefix, u = self.prefix, self.u
         j = np.searchsorted(prefix, r0 * prefix[m - 1], side="right")
         k = np.where(r2 < 0.5, j, m - j)
@@ -380,9 +297,8 @@ class _CdfTable:
     """Cumulative split rows for exact vectorized inverse-CDF draws.
 
     It serves the kernels that are neither bst, binomial nor of product
-    form, that is table kernels, whatever their fallback: their Monte Carlo
-    steps and their trees, which sample_preorder grows a batch at a time,
-    one draw per level.
+    form, that is table kernels, whatever their fallback: one draw per step
+    of their trees and of their Monte Carlo replicates.
 
     Rows of sizes 2..limit are stored back to back in one flat array, each
     the np.cumsum of the kernel's split row, as SplitKernel.split_cdf gives
@@ -444,8 +360,8 @@ def _level_drawer(
 ) -> Callable[[np.ndarray, np.random.Generator], np.ndarray]:
     """Vectorized k = draw(m, rng): one left share per entry of the size array m <= n.
 
-    A rejection kernel's share is 0 where its triple is rejected; no other
-    kernel draws 0.
+    It feeds both growth loops, _grow and _block_heights.  A rejection
+    kernel's share is 0 where its triple is rejected; no other kernel draws 0.
     """
     if isinstance(kernel, BstKernel):
         return lambda m, rng: rng.integers(1, m)

@@ -6,7 +6,6 @@ here and nowhere else; a failure means the library broke a contract, not
 that a tolerance needs adjusting.
 """
 
-import itertools
 import math
 import time
 from collections import Counter
@@ -190,11 +189,9 @@ def test_criterion_09_sampler_distributions(criterion):
             expected = np.array(
                 [tree_probability(kernel, t)[0] * replicates for t in enumerate_trees(6)]
             )
-            # one call draws every tree from the one stream in turn
+            # one call draws every tree from the one stream, a block at a time
             counts = shape_histogram(
-                lambda rng, count: (
-                    bits for bits, _ in sample_preorder(kernel, 6, itertools.repeat(rng, count))
-                ),
+                lambda rng, count: (bits for bits, _ in sample_preorder(kernel, 6, count, rng)),
                 replicates,
                 seed=2024,
             )

@@ -14,7 +14,7 @@ from treesource.kernels import (
     UniformKernel,
     render_kernel_spec,
 )
-from treesource.sampling import replicate_seed, sample_tree
+from treesource.sampling import replicate_seed, sample_preorder, sample_tree
 from treesource.trees import shape_bits, tree_from_shape_bits
 
 
@@ -178,6 +178,14 @@ class TestKernelSelection:
         assert exc.value.code == 1
 
 
+SAMPLE_KERNELS = [
+    BstKernel(),
+    UniformKernel(),
+    BinomialKernel(0.3),
+    TableKernel({3: [0.2, 0.8], 7: [0.1, 0.1, 0.3, 0.3, 0.1, 0.1]}, BinomialKernel(0.3)),
+]
+
+
 class TestSample:
     def test_heights_deterministic(self, capsys):
         args = ("sample", "--kernel", "bst", "--n", "6", "--replicates", "5", "--seed", "1")
@@ -204,30 +212,46 @@ class TestSample:
         for line in lines[1:]:
             assert tree_from_shape_bits(line.split(",")[1]).size == 9
 
-    @pytest.mark.parametrize(
-        "kernel",
-        [
-            BstKernel(),
-            UniformKernel(),
-            BinomialKernel(0.3),
-            TableKernel({3: [0.2, 0.8], 7: [0.1, 0.1, 0.3, 0.3, 0.1, 0.1]}, BinomialKernel(0.3)),
-        ],
-        ids=lambda k: k.kind,
-    )
+    @pytest.mark.parametrize("kernel", SAMPLE_KERNELS, ids=lambda k: k.kind)
     @pytest.mark.parametrize("path", ["auto", "cdf"])
     def test_tree_shapes_match_sample_tree(self, capsys, kernel, path):
         # "cdf": a table listing only row 2 = [1.0] has the same law as its
         # fallback and draws every share by inverse CDF
         if path == "cdf" and not isinstance(kernel, TableKernel):
             kernel = TableKernel({2: [1.0]}, kernel)
+        spec = render_kernel_spec(kernel)
+        # the replicates are one sample_preorder call from the derived seed
         code, out, _ = run_cli(
-            capsys, "sample", "--kernel-json", render_kernel_spec(kernel), "--n", "40",
-            "--replicates", "6", "--what", "trees", "--seed", "11",
+            capsys, "sample", "--kernel-json", spec, "--n", "40", "--replicates", "6",
+            "--what", "trees", "--seed", "11",
         )
         assert code == 0
-        for r, line in enumerate(out.strip().split("\n")[1:]):
-            tree = sample_tree(kernel, 40, replicate_seed(11, r))
-            assert line == f"{r},{shape_bits(tree)}"
+        trees = sample_preorder(kernel, 40, 6, replicate_seed(11, 0))
+        want = [f"{r},{bits}" for r, (bits, _) in enumerate(trees)]
+        assert out.strip().split("\n")[1:] == want
+        # and one replicate is sample_tree's tree
+        code, out, _ = run_cli(
+            capsys, "sample", "--kernel-json", spec, "--n", "40", "--replicates", "1",
+            "--what", "trees", "--seed", "11",
+        )
+        assert code == 0
+        tree = sample_tree(kernel, 40, replicate_seed(11, 0))
+        assert out.strip().split("\n")[1:] == [f"0,{shape_bits(tree)}"]
+
+    @pytest.mark.parametrize("kernel", SAMPLE_KERNELS, ids=lambda k: k.kind)
+    def test_heights_are_those_of_the_trees(self, capsys, kernel):
+        args = ("sample", "--kernel-json", render_kernel_spec(kernel), "--n", "300",
+                "--replicates", "40", "--seed", "5")
+        code, trees, _ = run_cli(capsys, *args, "--what", "trees")
+        assert code == 0
+        code, heights, _ = run_cli(capsys, *args, "--what", "heights")
+        assert code == 0
+        decoded = [
+            f"{r},{tree_from_shape_bits(bits).height}"
+            for r, bits in (line.split(",") for line in trees.strip().split("\n")[1:])
+        ]
+        assert heights.strip().split("\n") == ["replicate,height"] + decoded
+        assert len(set(decoded)) > 1
 
     @pytest.mark.parametrize("what", ["trees", "heights"])
     def test_one_invocation_builds_one_table(self, capsys, monkeypatch, what):
@@ -249,6 +273,14 @@ class TestSample:
             assert code == 0
             assert len(out.strip().split("\n")) == 26
             assert built == [60]
+
+    def test_every_integer_seed_is_accepted(self, capsys):
+        # the trees grow from replicate_seed(seed, 0), as mc's sizes do
+        for seed in ("-3", str(2**70)):
+            code, out, _ = run_cli(capsys, "sample", "--kernel", "bst", "--n", "30",
+                                   "--replicates", "3", "--seed", seed)
+            assert code == 0
+            assert len(out.strip().split("\n")) == 4
 
     def test_seed_changes_stream(self, capsys):
         _, a, _ = run_cli(capsys, "sample", "--kernel", "bst", "--n", "30",

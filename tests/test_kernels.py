@@ -230,7 +230,7 @@ def test_consumers_leave_no_per_size_state(make, kernel_state, monkeypatch):
     monkeypatch.setattr(sampling, "_TABLE_LIMIT", 40)  # draws above the flat table too
     kernel = make()
     before = kernel_state(kernel)
-    shapes = [bits for bits, _ in sample_preorder(kernel, 300, range(3))]
+    shapes = [bits for bits, _ in sample_preorder(kernel, 300, 3, 0)]
     for t in [tree_from_shape_bits(bits) for bits in shapes] + list(enumerate_trees(6)):
         tree_probability(kernel, t)
     psi_envelope(kernel, 300)

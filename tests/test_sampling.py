@@ -42,7 +42,6 @@ from treesource.trees import (
     enumerate_trees,
     node,
     shape_bits,
-    tree_from_shape_bits,
 )
 
 CHI2_ALPHA = 1e-4  # deterministic seeds; a failure means a real defect
@@ -61,10 +60,8 @@ def on_path(kernel, path):
 
 
 def kernel_shapes(kernel, n):
-    """draw(rng, count): shape bits of count trees drawn in turn from rng, one sample_preorder call."""
-    return lambda rng, count: (
-        bits for bits, _ in sample_preorder(kernel, n, itertools.repeat(rng, count))
-    )
+    """draw(rng, count): shape bits of count trees drawn from rng, one sample_preorder call."""
+    return lambda rng, count: (bits for bits, _ in sample_preorder(kernel, n, count, rng))
 
 
 def shape_counts(draw, replicates, seed):
@@ -178,72 +175,89 @@ CDF_TABLES = [
 ]
 
 
-def cdf_tree(kernel, n, rng):
-    """One tree by inverse CDF, walked in pre-order with a stack: (bits, height, inner nodes).
+def grown_trees(draw, n, blocks, rng):
+    """(shape bits, height) of trees grown as sample_preorder grows them, built by recursion.
 
-    It takes rng.random(n - 1) and gives the share at the inner node of
-    pre-order index i by a split_cdf lookup of uniform i.  The inner nodes
-    are listed as (depth, size) pairs.
+    The trees come in blocks of the given sizes, all drawn from rng in
+    turn.  Within a block every step makes one draw(sizes, rng) call for the
+    pending blocks of m >= 2 leaves: the left parts of the step before, in
+    order, then its right parts, where a draw of 0 leaves its block whole in
+    its right part's place.  Each tree is then built from its splits, keyed
+    by the path from its root, with node() and no shape-bit arithmetic.
     """
-    u = iter(rng.random(n - 1).tolist())
-    bits, height, inner, stack = [], 0, [], [(n, 0)]
-    while stack:
-        m, depth = stack.pop()
-        if m == 1:
-            bits.append("0")
-            height = max(height, depth)
-        else:
-            bits.append("1")
-            inner.append((depth, m))
-            k = scalar_draws(kernel, [m], [next(u)])[0]
-            stack += [(m - k, depth + 1), (k, depth + 1)]
-    return "".join(bits), height, inner
+    out = []
+    for count in blocks:
+        splits = {}
+        pending = [(t, "", n) for t in range(count)]
+        while pending := [block for block in pending if block[2] >= 2]:
+            shares = draw(np.array([m for _, _, m in pending]), rng).tolist()
+            splits.update(((t, path), k) for (t, path, _), k in zip(pending, shares) if k)
+            left = [(t, path + "0", k) for (t, path, _), k in zip(pending, shares)]
+            right = [
+                (t, path + "1", m - k) if k else (t, path, m)
+                for (t, path, m), k in zip(pending, shares)
+            ]
+            pending = left + right
+
+        def build(t, path, m):
+            if m == 1:
+                return LEAF
+            k = splits[t, path]
+            return node(build(t, path + "0", k), build(t, path + "1", m - k))
+
+        out += [(shape_bits(tree), tree.height) for tree in (build(t, "", n) for t in range(count))]
+    return out
+
+
+def cdf_drawer(kernel):
+    """A draw(sizes, rng) of the scalar inverse-CDF lookups, one rng.random() per size."""
+    return lambda sizes, rng: scalar_draws(kernel, sizes, rng.random(sizes.size))
 
 
 def record_batches(monkeypatch):
-    """The sizes of the batches that sample_preorder grows, in a list filled in as they grow."""
+    """The sizes of the blocks of trees that sample_preorder grows, listed as they grow."""
     sizes = []
     grow = sampling._grow
 
-    def recording_grow(table, n, uniforms):
-        sizes.append(len(uniforms))
-        return grow(table, n, uniforms)
+    def recording_grow(draw, n, count, rng):
+        sizes.append(count)
+        return grow(draw, n, count, rng)
 
     monkeypatch.setattr(sampling, "_grow", recording_grow)
     return sizes
 
 
+PREORDER_KERNELS = [
+    BstKernel(),
+    UniformKernel(),
+    BinomialKernel(0.3),
+    TableKernel({5: [0.1, 0.8, 0.1, 0.0]}, BinomialKernel(0.3)),
+]
+
+
 class TestSamplePreorder:
-    @pytest.mark.parametrize(
-        "kernel",
-        [
-            BstKernel(),
-            UniformKernel(),
-            BinomialKernel(0.3),
-            TableKernel({5: [0.1, 0.8, 0.1, 0.0]}, BinomialKernel(0.3)),
-        ],
-        ids=lambda k: k.describe(),
-    )
+    @pytest.mark.parametrize("kernel", PREORDER_KERNELS, ids=lambda k: k.describe())
     @pytest.mark.parametrize("n", [1, 2, 37, 300])
     def test_equals_one_seed_at_a_time(self, kernel, n, monkeypatch):
-        # with the small limit, draws at sizes above 40 go past the flat table
+        # a one-tree call gives sample_shape's bits and sample_height's height
+        # at its seed; with the small limit, draws at sizes above 40 go past
+        # the flat table
         monkeypatch.setattr(sampling, "_TABLE_LIMIT", 40)
-        seeds = [replicate_seed(3, r) for r in range(8)]
-        want = [(sample_shape(kernel, n, s), sample_height(kernel, n, s)) for s in seeds]
-        assert list(sample_preorder(kernel, n, seeds)) == want
-        for bits, height in want:
-            assert tree_from_shape_bits(bits).height == height
+        for seed in (replicate_seed(3, r) for r in range(8)):
+            want = grown_trees(_level_drawer(kernel, n), n, [1], np.random.default_rng(seed))
+            assert list(sample_preorder(kernel, n, 1, seed)) == want
+            assert want == [(sample_shape(kernel, n, seed), sample_height(kernel, n, seed))]
+            assert shape_bits(sample_tree(kernel, n, seed)) == want[0][0]
 
-    @pytest.mark.parametrize(
-        "kernel",
-        [BstKernel(), UniformKernel(), BinomialKernel(0.3), TABLE],
-        ids=lambda k: k.describe(),
-    )
-    def test_one_generator_draws_the_trees_in_turn(self, kernel):
+    @pytest.mark.parametrize("kernel", PREORDER_KERNELS, ids=lambda k: k.describe())
+    def test_one_generator_draws_the_trees_in_turn(self, kernel, monkeypatch):
+        # with blocks of one tree, one call draws what one-tree calls on the
+        # same generator draw in turn
+        monkeypatch.setattr(sampling, "_BATCH_CELLS", 40)
         rng = np.random.default_rng(9)
         want = [sample_shape(kernel, 40, rng) for _ in range(6)]
         rng = np.random.default_rng(9)
-        got = [bits for bits, _ in sample_preorder(kernel, 40, itertools.repeat(rng, 6))]
+        got = [bits for bits, _ in sample_preorder(kernel, 40, 6, rng)]
         assert got == want
         assert len(set(got)) > 1
 
@@ -258,48 +272,54 @@ class TestSamplePreorder:
         ids=lambda k: k.describe(),
     )
     def test_cdf_trees_take_one_uniform_per_inner_node(self, kernel, monkeypatch):
-        # the shares are split_cdf lookups of rng.random(), one per inner
-        # node in pre-order, in and above the flat table
+        # the shares are split_cdf lookups of rng.random(), one per pending
+        # block per step, in and above the flat table; five trees in one
+        # block take 5 * 119 uniforms in all
         monkeypatch.setattr(sampling, "_TABLE_LIMIT", 40)
+        want = grown_trees(cdf_drawer(kernel), 120, [5], np.random.default_rng(12))
         rng = np.random.default_rng(12)
-        want = [cdf_tree(kernel, 120, rng)[:2] for _ in range(5)]
-        rng = np.random.default_rng(12)
-        assert list(sample_preorder(kernel, 120, itertools.repeat(rng, 5))) == want
+        assert list(sample_preorder(kernel, 120, 5, rng)) == want
+        ref = np.random.default_rng(12)
+        ref.random(5 * 119)
+        assert rng.random() == ref.random()
 
     @pytest.mark.parametrize("kernel", CDF_TABLES, ids=lambda k: k.describe())
     @pytest.mark.parametrize("n", [1, 2, 37, 300])
     def test_batches_keep_the_bits(self, kernel, n, monkeypatch):
-        # three trees per batch, so eight seeds take batches of 3, 3 and 2;
+        # three trees per block, so eight trees grow in blocks of 3, 3 and 2;
         # with the small limit, draws at sizes above 40 go past the flat table
         monkeypatch.setattr(sampling, "_TABLE_LIMIT", 40)
         monkeypatch.setattr(sampling, "_BATCH_CELLS", 3 * n)
         batches = record_batches(monkeypatch)
-        seeds = [replicate_seed(3, r) for r in range(8)]
-        want = [cdf_tree(kernel, n, np.random.default_rng(s))[:2] for s in seeds]
-        assert list(sample_preorder(kernel, n, seeds)) == want
+        want = grown_trees(cdf_drawer(kernel), n, [3, 3, 2], np.random.default_rng(3))
+        assert list(sample_preorder(kernel, n, 8, 3)) == want
         assert batches == [3, 3, 2]
 
     def test_one_generator_runs_across_batches(self, monkeypatch):
-        # seven trees from one stream in batches of 2: each takes its n - 1
-        # uniforms in turn, and the stream ends where the last tree's do
+        # seven trees from one stream in blocks of 2: each block takes its
+        # draws in turn, and the stream ends where the last block's do
         n = 60
         monkeypatch.setattr(sampling, "_BATCH_CELLS", 2 * n)
         batches = record_batches(monkeypatch)
-        ref = np.random.default_rng(9)
-        want = [cdf_tree(TABLE, n, ref)[:2] for _ in range(7)]
-        rng = np.random.default_rng(9)
-        assert list(sample_preorder(TABLE, n, itertools.repeat(rng, 7))) == want
-        assert batches == [2, 2, 2, 1]
-        assert rng.random() == ref.random()
+        for kernel in PREORDER_KERNELS:
+            batches.clear()
+            ref = np.random.default_rng(9)
+            want = grown_trees(_level_drawer(kernel, n), n, [2, 2, 2, 1], ref)
+            rng = np.random.default_rng(9)
+            assert list(sample_preorder(kernel, n, 7, rng)) == want
+            assert batches == [2, 2, 2, 1]
+            assert rng.random() == ref.random()
+            # a larger count leaves every full block as it was
+            assert list(sample_preorder(kernel, n, 9, 9))[:6] == want[:6]
 
     def test_batches_bound_the_memory(self):
-        # 400 trees at n = 3000 grow in batches of _BATCH_CELLS // n = 21
+        # 400 trees at n = 3000 grow in blocks of _BATCH_CELLS // n = 21
         # trees, besides the flat table of rows up to 3000 (36 MB)
         n = 3000
         kernel = TableKernel({2: [1.0]}, BstKernel())
         tracemalloc.start()
         try:
-            for _ in sample_preorder(kernel, n, range(400)):
+            for _ in sample_preorder(kernel, n, 400, 0):
                 pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -307,8 +327,13 @@ class TestSamplePreorder:
         assert peak < 8 * n * (n - 1) // 2 + 128 * sampling._BATCH_CELLS
 
     def test_checks_the_size_before_drawing(self):
+        rng = np.random.default_rng(4)
         with pytest.raises(ValueError, match="n >= 1"):
-            sample_preorder(UniformKernel(), 0, [])
+            sample_preorder(UniformKernel(), 0, 3, rng)
+        with pytest.raises(ValueError, match="count >= 0"):
+            sample_preorder(UniformKernel(), 5, -1, rng)
+        assert list(sample_preorder(UniformKernel(), 5, 0, rng)) == []
+        assert rng.random() == np.random.default_rng(4).random()
 
 
 class TestDistributions:
@@ -418,8 +443,8 @@ class TestMonteCarlo:
         for grid in ([1], [2], [2, 1], [1, 2, 2]):
             got = mc_expected_height_grid(kernel, grid, 20, seed=3)
             assert got == {n: (float(n - 1), 0.0) for n in sorted(set(grid))}
-        assert list(sample_preorder(kernel, 1, range(3))) == [("0", 0)] * 3
-        assert list(sample_preorder(kernel, 2, range(3))) == [("100", 1)] * 3
+        assert list(sample_preorder(kernel, 1, 3, 0)) == [("0", 0)] * 3
+        assert list(sample_preorder(kernel, 2, 3, 0)) == [("100", 1)] * 3
 
     def test_strategy_checked_like_sample_tree(self):
         with pytest.raises(TypeError):
@@ -481,6 +506,35 @@ def rule_tree_levels(rule, n):
     return levels
 
 
+def rule_tree_bits(rule, n):
+    """Pre-order shape bits of the tree that splits m leaves at rule(m), by recursion."""
+
+    @functools.cache
+    def bits(m):
+        return "0" if m == 1 else "1" + bits(rule(m)) + bits(m - rule(m))
+
+    return bits(n)
+
+
+def waiting_drawer(rule, asked=None):
+    """rule_drawer, but every other call draws 0, a rejection, for every block."""
+    draw, calls = rule_drawer(rule, asked), itertools.count()
+    return lambda sizes, rng: draw(sizes, rng) * (next(calls) % 2)
+
+
+class TestGrowth:
+    """_grow writes the shape bits and heights of every tree it grows."""
+
+    @pytest.mark.parametrize("rule", SPLIT_RULES.values(), ids=SPLIT_RULES.keys())
+    @pytest.mark.parametrize("wait", [False, True], ids=["plain", "waiting"])
+    def test_trees_are_those_of_the_recursion(self, rule, wait):
+        # a block that draws 0 comes back whole at its bit position and depth
+        for n in range(1, 201):
+            draw = waiting_drawer(rule) if wait else rule_drawer(rule)
+            want = (rule_tree_bits(rule, n), rule_tree_height(rule, n))
+            assert sampling._grow(draw, n, 3, np.random.default_rng(0)) == [want] * 3, n
+
+
 class TestPrunedGrowth:
     """Monte Carlo grows only the blocks that can still raise a replicate's height."""
 
@@ -524,13 +578,9 @@ class TestPrunedGrowth:
         # a draw of 0 for every entry on every other call: each block comes
         # back whole at its depth, so it is asked exactly twice, in two calls
         # in a row, and the heights are those of the full tree
-        def waiting(asked):
-            draw, calls = rule_drawer(rule, asked), itertools.count()
-            return lambda sizes, rng: draw(sizes, rng) * (next(calls) % 2)
-
         for n in range(1, 201):
             asked, once = [], []
-            got = _block_heights(waiting(asked), n, 3, np.random.default_rng(0))
+            got = _block_heights(waiting_drawer(rule, asked), n, 3, np.random.default_rng(0))
             assert got.tolist() == [rule_tree_height(rule, n)] * 3, n
             _block_heights(rule_drawer(rule, once), n, 3, np.random.default_rng(0))
             assert asked[::2] == asked[1::2] == once, n
@@ -593,7 +643,7 @@ TIED_TABLE = TableKernel(
 
 
 class TestVectorizedDraws:
-    """Monte Carlo draws must be the scalar sampler's draws for the same uniforms."""
+    """Vectorized draws must be the scalar inverse-CDF lookups for the same uniforms."""
 
     @pytest.mark.parametrize(
         "kernel",
@@ -662,23 +712,14 @@ class TestVectorizedDraws:
         assert np.array_equal(got, scalar_draws(kernel, sizes, u))
 
     def test_large_table_rows_take_one_walk_per_level_per_batch(self, monkeypatch):
-        # a tree level's sizes above the flat table share one ascending walk
-        # per batch, from row 2 to the level's largest size
+        # a step's sizes above the flat table share one ascending walk, from
+        # row 2 to the step's largest size, in each block of trees
         n, limit = 300, 40
         monkeypatch.setattr(sampling, "_TABLE_LIMIT", limit)
         monkeypatch.setattr(sampling, "_BATCH_CELLS", 3 * n)
-        seeds = [replicate_seed(4, r) for r in range(6)]
-        want_walks, want_steps = 1, limit - 2  # the flat table's walk
-        for batch in (seeds[:3], seeds[3:]):
-            tops = {}  # depth -> largest size above the limit at that depth
-            for seed in batch:
-                for depth, m in cdf_tree(TABLE, n, np.random.default_rng(seed))[2]:
-                    if m > limit:
-                        tops[depth] = max(tops.get(depth, 0), m)
-            want_walks += len(tops)
-            want_steps += sum(m - 2 for m in tops.values())
-        walks, steps = [0], [0]
+        walks, steps, tops = [0], [0], []
         rows, step = TableKernel._ascending_rows, BinomialKernel._pascal_step
+        level_drawer = sampling._level_drawer
 
         def counting_rows(self, sizes):
             walks[0] += 1
@@ -688,11 +729,25 @@ class TestVectorizedDraws:
             steps[0] += 1
             return step(self, row)
 
+        def recording_drawer(kernel, n):
+            draw = level_drawer(kernel, n)
+
+            def recording_draw(sizes, rng):
+                tops.append(int(sizes.max()))
+                return draw(sizes, rng)
+
+            return recording_draw
+
         monkeypatch.setattr(TableKernel, "_ascending_rows", counting_rows)
         monkeypatch.setattr(BinomialKernel, "_pascal_step", counting_step)
-        list(sample_preorder(TABLE, n, seeds))
-        assert (walks[0], steps[0]) == (want_walks, want_steps)
-        assert want_walks > 3  # some level of each batch went past the table
+        monkeypatch.setattr(sampling, "_level_drawer", recording_drawer)
+        batches = record_batches(monkeypatch)
+        list(sample_preorder(TABLE, n, 6, 4))
+        assert batches == [3, 3]
+        big = [m for m in tops if m > limit]
+        # the flat table's walk, then one walk per step that goes past it
+        assert (walks[0], steps[0]) == (1 + len(big), limit - 2 + sum(m - 2 for m in big))
+        assert len(big) > 3
 
     @pytest.mark.parametrize(
         "kernel, grid",
@@ -762,7 +817,7 @@ class TestProductDraw:
         observed = np.bincount(accepted, minlength=m)[1:].astype(float)
         assert pooled_chisquare_pvalue(observed, kernel.split_pmf(m) * accepted.size) > CHI2_ALPHA
 
-    def test_scalar_and_vectorized_forms_agree(self):
+    def test_edge_triples_draw_in_range(self):
         n = 200
         product = _ProductDraw(UniformKernel(), n)
         rng = np.random.default_rng(17)
@@ -776,8 +831,6 @@ class TestProductDraw:
         sizes = np.concatenate((sizes, combos))
         r = np.concatenate((r, np.tile(edges, combos.size // edges.shape[1])), axis=1)
         got = product.draw(sizes, *r)
-        want = [product.draw_one(int(m), *map(float, t)) for m, t in zip(sizes, r.T)]
-        assert got.tolist() == want
         rejected = got == 0
         assert rejected.any() and not rejected.all()
         assert np.all((got[~rejected] >= 1) & (got[~rejected] <= sizes[~rejected] - 1))
@@ -799,35 +852,6 @@ class TestProductDraw:
             fh = f[m // 2 - 1]
             assert f.max() <= fh * (1 + 4 * 2.0**-53), m
             assert z[m] / (2 * prefix[m - 1] * fh) >= 0.7, m
-
-    def test_rejection_trees_take_triples_in_blocks(self):
-        # each tree takes the columns of rng.random((3, n - 1)) in turn, and
-        # a further such block whenever one runs out
-        n = 120
-        product = _ProductDraw(UniformKernel(), n)
-        rng = np.random.default_rng(12)
-        want, blocks = [], 0
-        for _ in range(5):
-            triples = iter(())
-            bits, stack = [], [n]
-            while stack:
-                m = stack.pop()
-                bits.append("1" if m > 1 else "0")
-                if m > 1:
-                    k = 0
-                    while not k:
-                        t = next(triples, None)
-                        if t is None:
-                            triples = zip(*rng.random((3, n - 1)).tolist())
-                            blocks += 1
-                            t = next(triples)
-                        k = product.draw_one(m, *t)
-                    stack += [m - k, k]
-            want.append("".join(bits))
-        assert blocks > 5  # some tree ran past its first block
-        rng = np.random.default_rng(12)
-        got = [bits for bits, _ in sample_preorder(UniformKernel(), n, itertools.repeat(rng, 5))]
-        assert got == want
 
     def test_monte_carlo_memory_is_linear_in_n(self):
         # u, its prefix sums and the pending blocks: about 0.5 MiB traced at
@@ -858,7 +882,7 @@ def pooled_chisquare_pvalue(observed, expected):
 
 
 class TestHeightLaw:
-    """The Monte Carlo height histogram follows the exact height law."""
+    """The height histograms of Monte Carlo and of sampled trees follow the exact height law."""
 
     @pytest.mark.parametrize(
         "kernel",
@@ -884,12 +908,31 @@ class TestHeightLaw:
         # at n = 64 most blocks are dropped undrawn (see TestPrunedGrowth)
         assert_height_law(on_path(kernel, path), kernel, 64)
 
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            BstKernel(),
+            UniformKernel(),
+            BinomialKernel(0.3),
+            TableKernel({12: [0.3] + [0.0] * 9 + [0.7], 5: [0.1, 0.8, 0.1, 0.0]}, BstKernel()),
+        ],
+        ids=lambda k: k.describe(),
+    )
+    @pytest.mark.parametrize("n", [12, 64])
+    def test_tree_heights_match_height_cdf(self, kernel, n):
+        assert_height_law(kernel, kernel, n, heights_of=tree_heights)
 
-def assert_height_law(sampled, kernel, n, replicates=20_000):
-    """mc_heights of the sampled kernel against the exact height law of kernel at size n."""
+
+def tree_heights(kernel, n, replicates, seed):
+    """Heights of the trees of one sample_preorder call."""
+    return np.array([height for _, height in sample_preorder(kernel, n, replicates, seed)])
+
+
+def assert_height_law(sampled, kernel, n, replicates=20_000, heights_of=mc_heights):
+    """Heights of the sampled kernel against the exact height law of kernel at size n."""
     cdf = height_cdf(kernel, n, tail_tol=0.0).values
     law = np.diff(np.concatenate(([0.0], cdf)))
-    heights = mc_heights(sampled, n, replicates, seed=2024)
+    heights = heights_of(sampled, n, replicates, seed=2024)
     observed = np.bincount(heights, minlength=law.size).astype(float)
     assert observed.size == law.size  # no height beyond the exact support
     assert pooled_chisquare_pvalue(observed, law * replicates) > HEIGHT_LAW_ALPHA
