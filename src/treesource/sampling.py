@@ -21,9 +21,11 @@ draws by rejection from u alone (_ProductDraw): from a uniform triple
 and accepts it with probability f(k) / f(floor(m/2)), f(k) = u_k * u_(m-k)
 / (u_k + u_(m-k)).  A rejected triple draws 0, "not yet", and its block
 waits, whole and at its depth, for the next step: an accepted proposal has
-the target law whatever attempts came before it.  Every other kernel
-(tables, whatever their fallback) inverts the split row's CDF, read from
-one _CdfTable built once per call.
+the target law whatever attempts came before it.  A table kernel draws a
+block of a size it does not list by its fallback's rule, and a block of a
+listed size m by inverse CDF over that size's own row: min(bisect_right(
+cdf_m, u) + 1, m - 1) for a uniform u, cdf_m the np.cumsum of the row.
+Any other kernel has no draw rule, and the sampler raises TypeError for it.
 
 Reproducibility contract, for a fixed build of this package (bit-identical
 output across numpy versions is not promised):
@@ -33,9 +35,12 @@ output across numpy versions is not promised):
   max(1, _BATCH_CELLS // n), block after block from the one generator
   _rng(seed), so a larger count leaves every full block unchanged; a
   generator seed is advanced by the trees drawn.  Each step makes one
-  draw for the s pending blocks of the block of trees, in their order: a
-  rejection kernel takes rng.random((3, s)), one triple per pending block,
-  and an inverse-CDF kernel rng.random(s).  sample_shape, sample_height
+  draw for the s pending blocks of the block of trees, in their order: bst
+  takes rng.integers(1, m), binomial rng.binomial(m - 2, p), a rejection
+  kernel rng.random((3, s)), one triple per pending block.  A table kernel
+  takes its fallback's draw for the pending blocks of the sizes it does
+  not list, in their order, then rng.random(s_listed) for the s_listed
+  blocks of listed sizes, in their order.  sample_shape, sample_height
   and sample_tree take the one tree of sample_preorder(kernel, n, 1,
   seed).  The sample subcommand makes one sample_preorder call, so its
   heights are those of its trees for the same seed.  Releases that grew
@@ -63,7 +68,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .kernels import BinomialKernel, BstKernel, SplitKernel
+from .kernels import BinomialKernel, BstKernel, SplitKernel, TableKernel
 from .trees import LEAF, BinaryTree, node, tree_from_shape_bits
 
 __all__ = [
@@ -89,19 +94,14 @@ __all__ = [
 # n <= 4096.
 MC_BLOCK = 256
 
-# Largest size whose cumulative row a _CdfTable stores; the flat table then
-# takes at most 8 * 4096^2 / 2 bytes, about 64 MiB.  Only kernels drawn by
-# inverse CDF (tables, whatever their fallback) build one.
-_TABLE_LIMIT = 4096
-
 # Cells that sample_preorder grows together: a block holds
 # max(1, _BATCH_CELLS // n) trees of size n, and its arrays trace about 26
-# bytes per cell (29 for binomial), 1.6 MiB at 2^16, besides a table
-# kernel's table.  On a 2-vCPU machine, 200 trees at n = 400 took 60, 10.4,
-# 4.7, 3.5 and 3.1 ms for bst at 2^10, 2^12, 2^14, 2^16 and 2^20 cells, 220,
-# 59, 33, 12.4 and 9.6 ms for uniform, and 69, 20, 9.8, 8.2 and 7.6 ms for a
-# table over binomial(1/2), its build included; 2000 trees at n = 50 were
-# no faster beyond 2^15 for any of them.
+# bytes per cell (29 for binomial), 1.6 MiB at 2^16.  On a 2-vCPU machine,
+# 200 trees at n = 400 took 60, 10.4, 4.7, 3.5 and 3.1 ms for bst at 2^10,
+# 2^12, 2^14, 2^16 and 2^20 cells, 220, 59, 33, 12.4 and 9.6 ms for uniform,
+# and 54, 16, 8.9, 7.4 and 6.9 ms for a table of rows 2..20 and four larger
+# sizes over binomial(1/2); 2000 trees at n = 50 were no faster beyond 2^15
+# for any of them.
 _BATCH_CELLS = 1 << 16
 
 _GOLDEN64 = 0x9E3779B97F4A7C15
@@ -136,7 +136,8 @@ def sample_preorder(
     block from the one generator _rng(seed), and each block is grown whole
     before its trees are yielded.  The sizes are checked, and the draw
     function built, at the call.  A loop over many trees should make one
-    call: a table kernel builds its table of cumulative rows once per call.
+    call: a table kernel builds the cumulative rows of its listed sizes, and
+    a rejection kernel its prefix sums, once per call.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -213,14 +214,16 @@ def sample_uniform_remy(n: int, seed: "int | np.random.Generator") -> BinaryTree
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     rng = _rng(seed)
+    # step m draws j uniform on 0..4m - 3 for its node j // 2 and its side j % 2,
+    # all in one call
+    draws = rng.integers(0, 4 * np.arange(1, n) - 2).tolist()
     # flat arrays; child < 0 marks a leaf
     left = [-1]
     right = [-1]
     parent = [-1]
     root = 0
-    for m in range(1, n):
-        pick = int(rng.integers(0, 2 * m - 1))
-        side = int(rng.integers(0, 2))
+    for j in draws:
+        pick, side = divmod(j, 2)
         inner = len(left)
         new_leaf = inner + 1
         par = parent[pick]
@@ -293,76 +296,18 @@ class _ProductDraw:
         return np.where(r1 * self.top[m] * (uk + ukm) < uk * ukm * self.bottom[m], k, 0)
 
 
-class _CdfTable:
-    """Cumulative split rows for exact vectorized inverse-CDF draws.
-
-    It serves the kernels that are neither bst, binomial nor of product
-    form, that is table kernels, whatever their fallback: one draw per step
-    of their trees and of their Monte Carlo replicates.
-
-    Rows of sizes 2..limit are stored back to back in one flat array, each
-    the np.cumsum of the kernel's split row, as SplitKernel.split_cdf gives
-    it.  Rows of larger sizes are built once per distinct size per draw call
-    and dropped, which keeps memory at O(limit^2 + n) for any n.  All rows
-    come from the kernel's ascending walk.  A binomial walk takes a Pascal
-    step, O(sqrt(m)) wide, for every size m up to the largest one asked; the
-    other kernels build O(m) per distinct size.  A query's share depends on
-    its own size and uniform only, whatever else is drawn with it.
-    """
-
-    def __init__(self, kernel: SplitKernel, limit: int):
-        self.kernel = kernel
-        self.limit = limit
-        # row m occupies flat[start[m] : start[m] + m - 1]
-        sizes = np.arange(limit + 1, dtype=np.int64)
-        self.start = (sizes - 2) * (sizes - 1) // 2
-        self.flat = np.empty(limit * (limit - 1) // 2)
-        for m, row in enumerate(kernel._ascending_rows(range(2, limit + 1)), 2):
-            a = int(self.start[m])
-            np.cumsum(row, out=self.flat[a : a + m - 1])
-
-    def draw(self, m: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Left shares min(bisect_right(cdf_m, u) + 1, m - 1), elementwise."""
-        below = np.empty_like(m)
-        small = m <= self.limit
-        below[small] = self._count_below(m[small], u[small])
-        if not small.all():
-            big = np.flatnonzero(~small)
-            order = big[np.argsort(m[big], kind="stable")]
-            sizes, first = np.unique(m[order], return_index=True)
-            rows = self.kernel._ascending_rows(sizes.tolist())
-            for group, row in zip(np.split(order, first[1:]), rows):
-                below[group] = np.searchsorted(np.cumsum(row), u[group], side="right")
-        # clamp: cumulative row can fall a few ulp short of 1
-        return np.minimum(below + 1, m - 1)
-
-    def _count_below(self, m: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Per query, the number of entries of row m that are <= u.
-
-        Binary lifting over the row length: a prefix of length c is all
-        <= u exactly when entry c - 1 is, since rows are nondecreasing.
-        """
-        length = m - 1
-        start = self.start[m]
-        count = np.zeros_like(m)
-        step = 1 << (int(length.max()).bit_length() - 1) if m.size else 0
-        while step:
-            cand = count + step
-            fits = cand <= length
-            entry = self.flat[start + np.minimum(cand, length) - 1]
-            count = np.where(fits & (entry <= u), cand, count)
-            step >>= 1
-        return count
-
-
 def _level_drawer(
     kernel: SplitKernel, n: int
 ) -> Callable[[np.ndarray, np.random.Generator], np.ndarray]:
     """Vectorized k = draw(m, rng): one left share per entry of the size array m <= n.
 
     It feeds both growth loops, _grow and _block_heights.  A rejection
-    kernel's share is 0 where its triple is rejected; no other kernel draws 0.
+    kernel's share, and a table's at a size it leaves to such a fallback, is
+    0 where its triple is rejected; no other share is 0.  A kernel with no
+    draw rule raises TypeError here.
     """
+    if isinstance(kernel, TableKernel):
+        return _table_drawer(kernel, n)
     if isinstance(kernel, BstKernel):
         return lambda m, rng: rng.integers(1, m)
     if isinstance(kernel, BinomialKernel):
@@ -371,8 +316,46 @@ def _level_drawer(
     if kernel._split_factors is not None:
         product = _ProductDraw(kernel, n)
         return lambda m, rng: product.draw(m, *rng.random((3, m.size)))
-    table = _CdfTable(kernel, min(n, _TABLE_LIMIT))
-    return lambda m, rng: table.draw(m, rng.random(m.size))
+    raise TypeError(f"no draw rule for {kernel!r}")
+
+
+def _table_drawer(
+    kernel: TableKernel, n: int
+) -> Callable[[np.ndarray, np.random.Generator], np.ndarray]:
+    """The fallback's draw at the sizes the table does not list, inverse CDF at the listed ones.
+
+    The rows of the listed sizes m <= n are kept back to back as complex
+    keys m + i * cdf_m.  numpy orders complex numbers by real part, then by
+    imaginary part, so keys sort by size and then along each nondecreasing
+    row, and one np.searchsorted of m + i * u counts, for every query at
+    once, the entries of its own row that are <= u: exactly
+    bisect_right(cdf_m, u).  A query's share depends only on its own size
+    and uniform.  The keys take twice the memory of the listed rows.  A
+    table that lists no size up to n draws as its fallback.
+    """
+    fallback = _level_drawer(kernel.fallback, n)
+    listed = sorted(m for m in kernel.rows if m <= n)
+    if not listed:
+        return fallback
+    keys = np.concatenate([m + 1j * np.cumsum(kernel.rows[m]) for m in listed])
+    # where row m's keys begin, -1 at the sizes left to the fallback
+    start = np.full(n + 1, -1, dtype=np.int64)
+    start[listed] = np.cumsum([0] + [m - 1 for m in listed])[:-1]
+
+    def draw(m: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        first = start[m]
+        left = np.empty_like(m)
+        rest = np.flatnonzero(first < 0)
+        if rest.size:  # an empty draw takes nothing from rng, so skipping it keeps the stream
+            left[rest] = fallback(m[rest], rng)
+        at = np.flatnonzero(first >= 0)
+        sizes = m[at]
+        below = np.searchsorted(keys, sizes + 1j * rng.random(at.size), side="right") - first[at]
+        # clamp: a cumulative row can fall a few ulp short of 1
+        left[at] = np.minimum(below + 1, sizes - 1)
+        return left
+
+    return draw
 
 
 def _block_heights(
@@ -472,9 +455,9 @@ def mc_expected_height_grid(
 
     Size n gets mc_expected_height(kernel, n, replicates,
     replicate_seed(seed, n)), bit for bit.  One draw function, built for
-    the largest size, serves every size, so an inverse-CDF kernel builds
-    its table of cumulative rows, and a rejection kernel its prefix sums,
-    once per grid rather than once per size.
+    the largest size, serves every size, so a table kernel builds the
+    cumulative rows of its listed sizes, and a rejection kernel its prefix
+    sums, once per grid rather than once per size.
     """
     sizes = sorted(set(grid))
     if replicates < 2:

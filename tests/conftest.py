@@ -2,7 +2,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from treesource import heights
+from treesource import heights, sampling
 from treesource.kernels import BinomialKernel, BstKernel, TableKernel
 
 
@@ -49,6 +49,26 @@ def scan_layers(monkeypatch):
 
     monkeypatch.setattr(heights, "survival_layers", counting_scan)
     return counts
+
+
+@pytest.fixture
+def draw_builds(monkeypatch):
+    """("table", n) per table drawer and ("product", n) per rejection drawer built, in order."""
+    built = []
+    table_drawer = sampling._table_drawer
+
+    def recording_table_drawer(kernel, n):
+        built.append(("table", n))
+        return table_drawer(kernel, n)
+
+    class RecordingProductDraw(sampling._ProductDraw):
+        def __init__(self, kernel, n):
+            built.append(("product", n))
+            super().__init__(kernel, n)
+
+    monkeypatch.setattr(sampling, "_table_drawer", recording_table_drawer)
+    monkeypatch.setattr(sampling, "_ProductDraw", RecordingProductDraw)
+    return built
 
 
 @pytest.fixture

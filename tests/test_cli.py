@@ -5,7 +5,6 @@ import sys
 
 import pytest
 
-from treesource import sampling
 from treesource.cli import main, parse_grid
 from treesource.kernels import (
     BinomialKernel,
@@ -215,10 +214,11 @@ class TestSample:
     @pytest.mark.parametrize("kernel", SAMPLE_KERNELS, ids=lambda k: k.kind)
     @pytest.mark.parametrize("path", ["auto", "cdf"])
     def test_tree_shapes_match_sample_tree(self, capsys, kernel, path):
-        # "cdf": a table listing only row 2 = [1.0] has the same law as its
-        # fallback and draws every share by inverse CDF
-        if path == "cdf" and not isinstance(kernel, TableKernel):
-            kernel = TableKernel({2: [1.0]}, kernel)
+        # "cdf": a table of the kernel's law listing its rows 2..40 draws
+        # every share by inverse CDF over a listed row
+        if path == "cdf":
+            rows = dict(zip(range(2, 41), kernel._ascending_rows(range(2, 41))))
+            kernel = TableKernel(rows, getattr(kernel, "fallback", kernel))
         spec = render_kernel_spec(kernel)
         # the replicates are one sample_preorder call from the derived seed
         code, out, _ = run_cli(
@@ -254,25 +254,21 @@ class TestSample:
         assert len(set(decoded)) > 1
 
     @pytest.mark.parametrize("what", ["trees", "heights"])
-    def test_one_invocation_builds_one_table(self, capsys, monkeypatch, what):
-        # a table listing only row 2 has uniform's law and draws by inverse
-        # CDF; uniform itself draws by rejection and builds no table
-        built = []
-
-        class CountingTable(sampling._CdfTable):
-            def __init__(self, kernel, limit):
-                built.append(limit)
-                super().__init__(kernel, limit)
-
-        monkeypatch.setattr(sampling, "_CdfTable", CountingTable)
+    def test_one_invocation_builds_one_table(self, capsys, draw_builds, what):
+        # one invocation builds one draw function: a table over uniform its
+        # listed cumulative rows and uniform's prefix sums, uniform alone the
+        # prefix sums
         spec = render_kernel_spec(TableKernel({2: [1.0]}, UniformKernel()))
-        for kernel in (["--kernel-json", spec], ["--kernel", "uniform"]):
+        runs = [(["--kernel-json", spec], [("table", 60), ("product", 60)]),
+                (["--kernel", "uniform"], [("product", 60)])]
+        for kernel, want in runs:
+            draw_builds.clear()
             code, out, _ = run_cli(
                 capsys, "sample", *kernel, "--n", "60", "--replicates", "25", "--what", what,
             )
             assert code == 0
             assert len(out.strip().split("\n")) == 26
-            assert built == [60]
+            assert draw_builds == want
 
     def test_every_integer_seed_is_accepted(self, capsys):
         # the trees grow from replicate_seed(seed, 0), as mc's sizes do

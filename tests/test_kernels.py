@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treesource import sampling
 from treesource.bounds import phi_balance, psi_envelope
 from treesource.heights import expected_height_grid
 from treesource.kernels import (
@@ -225,9 +224,8 @@ class TestMirrorSymmetry:
 
 
 @pytest.mark.parametrize("make", PMF_MATRIX_KERNELS.values(), ids=PMF_MATRIX_KERNELS)
-def test_consumers_leave_no_per_size_state(make, kernel_state, monkeypatch):
+def test_consumers_leave_no_per_size_state(make, kernel_state):
     # the scan, verify_certificates and Monte Carlo have tests of their own
-    monkeypatch.setattr(sampling, "_TABLE_LIMIT", 40)  # draws above the flat table too
     kernel = make()
     before = kernel_state(kernel)
     shapes = [bits for bits, _ in sample_preorder(kernel, 300, 3, 0)]

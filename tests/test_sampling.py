@@ -14,15 +14,14 @@ from treesource.heights import height_cdf
 from treesource.kernels import (
     BinomialKernel,
     BstKernel,
+    SplitKernel,
     TableKernel,
     UniformKernel,
     tree_probability,
 )
 from treesource.sampling import (
-    _TABLE_LIMIT,
     MC_BLOCK,
     _block_heights,
-    _CdfTable,
     _level_drawer,
     _ProductDraw,
     mc_expected_height,
@@ -47,16 +46,21 @@ from treesource.trees import (
 CHI2_ALPHA = 1e-4  # deterministic seeds; a failure means a real defect
 
 
-def on_path(kernel, path):
-    """The kernel itself ("auto"), or a kernel of the same law drawn by inverse CDF ("cdf").
+def on_path(kernel, path, n):
+    """The kernel itself ("auto"), or a table of its law drawn by inverse CDF up to size n ("cdf").
 
-    Every kernel's row 2 is [1.0], so listing it makes a table with the
-    fallback's rows at every size, and tables draw every share from their
-    cumulative rows.  A table already draws that way and is returned as is.
+    A table draws a size it lists by inverse CDF over that size's row, so
+    listing every row from 2 to n makes every share of a tree of up to n
+    leaves such a draw.
     """
-    if path == "auto" or isinstance(kernel, TableKernel):
-        return kernel
-    return TableKernel({2: [1.0]}, kernel)
+    return kernel if path == "auto" else listing(kernel, n)
+
+
+def listing(kernel, top):
+    """A table of the kernel's law listing its rows 2..top; larger sizes go to its fallback."""
+    sizes = range(2, top + 1)
+    rows = {**getattr(kernel, "rows", {}), **dict(zip(sizes, kernel._ascending_rows(sizes)))}
+    return TableKernel(rows, getattr(kernel, "fallback", kernel))
 
 
 def kernel_shapes(kernel, n):
@@ -151,7 +155,7 @@ class TestSampleHeight:
     )
     @pytest.mark.parametrize("path", ["auto", "cdf"])
     def test_agrees_with_sampled_tree(self, kernel, path):
-        kernel = on_path(kernel, path)
+        kernel = on_path(kernel, path, 37)
         for seed in range(12):
             t = sample_tree(kernel, 37, seed)
             h = sample_height(kernel, 37, seed)
@@ -238,11 +242,9 @@ PREORDER_KERNELS = [
 class TestSamplePreorder:
     @pytest.mark.parametrize("kernel", PREORDER_KERNELS, ids=lambda k: k.describe())
     @pytest.mark.parametrize("n", [1, 2, 37, 300])
-    def test_equals_one_seed_at_a_time(self, kernel, n, monkeypatch):
+    def test_equals_one_seed_at_a_time(self, kernel, n):
         # a one-tree call gives sample_shape's bits and sample_height's height
-        # at its seed; with the small limit, draws at sizes above 40 go past
-        # the flat table
-        monkeypatch.setattr(sampling, "_TABLE_LIMIT", 40)
+        # at its seed
         for seed in (replicate_seed(3, r) for r in range(8)):
             want = grown_trees(_level_drawer(kernel, n), n, [1], np.random.default_rng(seed))
             assert list(sample_preorder(kernel, n, 1, seed)) == want
@@ -265,17 +267,17 @@ class TestSamplePreorder:
         "kernel",
         [
             # uniform's law on the inverse-CDF path; UniformKernel draws by rejection
-            pytest.param(on_path(UniformKernel(), "cdf"), id="uniform"),
+            pytest.param(UniformKernel(), id="uniform"),
             TableKernel({5: [0.1, 0.8, 0.1, 0.0]}, UniformKernel()),
-            on_path(BinomialKernel(0.3), "cdf"),
+            TableKernel({2: [1.0]}, BinomialKernel(0.3)),
         ],
         ids=lambda k: k.describe(),
     )
-    def test_cdf_trees_take_one_uniform_per_inner_node(self, kernel, monkeypatch):
-        # the shares are split_cdf lookups of rng.random(), one per pending
-        # block per step, in and above the flat table; five trees in one
+    def test_cdf_trees_take_one_uniform_per_inner_node(self, kernel):
+        # with every row listed, the shares are split_cdf lookups of
+        # rng.random(), one per pending block per step; five trees in one
         # block take 5 * 119 uniforms in all
-        monkeypatch.setattr(sampling, "_TABLE_LIMIT", 40)
+        kernel = on_path(kernel, "cdf", 120)
         want = grown_trees(cdf_drawer(kernel), 120, [5], np.random.default_rng(12))
         rng = np.random.default_rng(12)
         assert list(sample_preorder(kernel, 120, 5, rng)) == want
@@ -287,8 +289,8 @@ class TestSamplePreorder:
     @pytest.mark.parametrize("n", [1, 2, 37, 300])
     def test_batches_keep_the_bits(self, kernel, n, monkeypatch):
         # three trees per block, so eight trees grow in blocks of 3, 3 and 2;
-        # with the small limit, draws at sizes above 40 go past the flat table
-        monkeypatch.setattr(sampling, "_TABLE_LIMIT", 40)
+        # with every row listed, each share is an inverse-CDF lookup
+        kernel = on_path(kernel, "cdf", n)
         monkeypatch.setattr(sampling, "_BATCH_CELLS", 3 * n)
         batches = record_batches(monkeypatch)
         want = grown_trees(cdf_drawer(kernel), n, [3, 3, 2], np.random.default_rng(3))
@@ -314,9 +316,9 @@ class TestSamplePreorder:
 
     def test_batches_bound_the_memory(self):
         # 400 trees at n = 3000 grow in blocks of _BATCH_CELLS // n = 21
-        # trees, besides the flat table of rows up to 3000 (36 MB)
+        # trees, which traced 1.6 MiB with rows 2..40 listed over bst
         n = 3000
-        kernel = TableKernel({2: [1.0]}, BstKernel())
+        kernel = listing(BstKernel(), 40)
         tracemalloc.start()
         try:
             for _ in sample_preorder(kernel, n, 400, 0):
@@ -324,7 +326,7 @@ class TestSamplePreorder:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * n * (n - 1) // 2 + 128 * sampling._BATCH_CELLS
+        assert peak < 64 * sampling._BATCH_CELLS
 
     def test_checks_the_size_before_drawing(self):
         rng = np.random.default_rng(4)
@@ -342,7 +344,7 @@ class TestDistributions:
         assert_matches_distribution(k, 5, kernel_shapes(k, 5))
 
     def test_bst_cdf_strategy(self):
-        k = on_path(BstKernel(), "cdf")
+        k = on_path(BstKernel(), "cdf", 5)
         assert_matches_distribution(k, 5, kernel_shapes(k, 5))
 
     def test_binomial_specialized(self):
@@ -350,12 +352,20 @@ class TestDistributions:
         assert_matches_distribution(k, 5, kernel_shapes(k, 5))
 
     def test_binomial_cdf_strategy(self):
-        k = on_path(BinomialKernel(0.3), "cdf")
+        k = on_path(BinomialKernel(0.3), "cdf", 5)
         assert_matches_distribution(k, 5, kernel_shapes(k, 5))
 
     def test_uniform_kernel_sampler(self):
         k = UniformKernel()
         assert_matches_distribution(k, 5, kernel_shapes(k, 5))
+
+    @pytest.mark.parametrize(
+        "fallback", [BstKernel(), BinomialKernel(0.3), UniformKernel()], ids=lambda k: k.describe()
+    )
+    def test_listed_rows_beside_the_fallback_rule(self, fallback):
+        # sizes 4 and 6 from their rows, 3 and 5 by the fallback's rule
+        k = TableKernel({4: [0.25, 0.5, 0.25], 6: [0.1, 0.2, 0.4, 0.2, 0.1]}, fallback)
+        assert_matches_distribution(k, 6, kernel_shapes(k, 6))
 
     def test_table_rows_drive_draws(self):
         k = TableKernel({3: [1.0, 0.0]}, BstKernel())
@@ -390,6 +400,14 @@ class TestRemyGrowth:
         assert_matches_distribution(
             k, 6, lambda rng, count: (shape_bits(sample_uniform_remy(6, rng)) for _ in range(count))
         )
+
+    def test_one_call_draws_every_step(self):
+        # step m takes j uniform on 0..4m - 3, node j // 2 and side j % 2
+        for n in (1, 2, 9):
+            rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+            sample_uniform_remy(n, rng)
+            ref.integers(0, 4 * np.arange(1, n) - 2)
+            assert rng.random() == ref.random()
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -436,7 +454,7 @@ class TestMonteCarlo:
                              ids=lambda k: k.describe())
     @pytest.mark.parametrize("path", ["auto", "cdf"])
     def test_one_and_two_leaves(self, kernel, path):
-        kernel = on_path(kernel, path)
+        kernel = on_path(kernel, path, 2)
         assert mc_expected_height(kernel, 1, 30) == (0.0, 0.0)
         assert mc_expected_height(kernel, 2, 30) == (1.0, 0.0)
         # a grid's one draw function is built for its largest size, 1 or 2
@@ -604,9 +622,10 @@ class _FixedUniforms:
         self.u = np.asarray(u, dtype=float)
 
     def random(self, size):
-        out, self.u = self.u[:size], self.u[size:]
-        assert out.size == size
-        return out
+        count = int(np.prod(size))
+        out, self.u = self.u[:count], self.u[count:]
+        assert out.size == count
+        return out.reshape(size)
 
 
 def scalar_draws(kernel, sizes, u):
@@ -655,99 +674,44 @@ class TestVectorizedDraws:
         n = 200
         sizes = np.concatenate(([4, 6, 7, 2, 3, 6, n] * 12, rng.integers(2, n + 1, size=2000)))
         u = edge_uniforms(kernel, sizes, rng)
-        kernel = on_path(kernel, "cdf")
+        kernel = on_path(kernel, "cdf", n)
         draw = _level_drawer(kernel, n)
         assert np.array_equal(draw(sizes, _FixedUniforms(u)), scalar_draws(kernel, sizes, u))
 
     @pytest.mark.parametrize("kernel", [UniformKernel(), TIED_TABLE], ids=lambda k: k.describe())
-    def test_rows_beyond_the_table(self, kernel):
-        # sizes above the flat table, one of them above the largest table too
+    def test_a_share_depends_on_its_own_query_only(self, kernel):
+        # every size up to 300 listed, so every share is a lookup in its own row
         rng = np.random.default_rng(5)
-        table = _CdfTable(kernel, 40)
-        sizes = np.concatenate(
-            ([_TABLE_LIMIT + 3] * 12, [41, 300, 7, 300] * 9, rng.integers(2, 120, size=500))
-        )
+        sizes = np.concatenate(([300] * 12, [41, 300, 7, 300] * 9, rng.integers(2, 120, size=500)))
         u = edge_uniforms(kernel, sizes, rng)
+        kernel = on_path(kernel, "cdf", 300)
+        draw = _level_drawer(kernel, 300)
         want = scalar_draws(kernel, sizes, u)
-        assert np.array_equal(table.draw(sizes, u), want)
-        # a query's share does not depend on the queries drawn with it
-        one_at_a_time = [table.draw(sizes[j : j + 1], u[j : j + 1])[0] for j in range(sizes.size)]
+        assert np.array_equal(draw(sizes, _FixedUniforms(u)), want)
+        one_at_a_time = [
+            draw(sizes[j : j + 1], _FixedUniforms(u[j : j + 1]))[0] for j in range(sizes.size)
+        ]
         assert one_at_a_time == want.tolist()
 
-    @pytest.mark.parametrize("limit", [_TABLE_LIMIT, 40])
+    @pytest.mark.parametrize("listed", [4096, 40])
     @pytest.mark.parametrize(
         "make",
         [
             UniformKernel,
-            lambda: on_path(BinomialKernel(0.3), "cdf"),
+            lambda: BinomialKernel(0.3),
             lambda: TableKernel({5: [0.1, 0.8, 0.1, 0.0]}, BinomialKernel(0.3)),
         ],
         ids=["uniform", "binomial", "table"],
     )
-    def test_mc_leaves_row_caches_alone(self, make, limit, kernel_state, monkeypatch):
-        # with the small limit, most draws are of sizes above the flat table
-        monkeypatch.setattr(sampling, "_TABLE_LIMIT", limit)
+    def test_mc_leaves_row_caches_alone(self, make, listed, kernel_state):
+        # the kernel, and a table of its law listing its rows up to 40, so
+        # that most draws go to the fallback's rule, or up to every size drawn
         kernel = make()
-        before = kernel_state(kernel)
-        mc_expected_height(kernel, 300, 100, seed=3)
-        assert kernel_state(kernel) == before
-
-    def test_large_binomial_rows_take_one_walk_per_level(self, monkeypatch):
-        # sizes above the flat table share one ascending walk per draw
-        steps = [0]
-        step = BinomialKernel._pascal_step
-
-        def counting_step(self, row):
-            steps[0] += 1
-            return step(self, row)
-
-        monkeypatch.setattr(BinomialKernel, "_pascal_step", counting_step)
-        kernel = BinomialKernel(0.3)
-        table = _CdfTable(kernel, 40)
-        assert steps[0] == 38
-        sizes = np.array([300, 41, 7, 120, 300, 97, 41, 250])
-        u = np.random.default_rng(1).random(sizes.size)
-        got = table.draw(sizes, u)
-        assert steps[0] == 38 + 298
-        assert np.array_equal(got, scalar_draws(kernel, sizes, u))
-
-    def test_large_table_rows_take_one_walk_per_level_per_batch(self, monkeypatch):
-        # a step's sizes above the flat table share one ascending walk, from
-        # row 2 to the step's largest size, in each block of trees
-        n, limit = 300, 40
-        monkeypatch.setattr(sampling, "_TABLE_LIMIT", limit)
-        monkeypatch.setattr(sampling, "_BATCH_CELLS", 3 * n)
-        walks, steps, tops = [0], [0], []
-        rows, step = TableKernel._ascending_rows, BinomialKernel._pascal_step
-        level_drawer = sampling._level_drawer
-
-        def counting_rows(self, sizes):
-            walks[0] += 1
-            return rows(self, sizes)
-
-        def counting_step(self, row):
-            steps[0] += 1
-            return step(self, row)
-
-        def recording_drawer(kernel, n):
-            draw = level_drawer(kernel, n)
-
-            def recording_draw(sizes, rng):
-                tops.append(int(sizes.max()))
-                return draw(sizes, rng)
-
-            return recording_draw
-
-        monkeypatch.setattr(TableKernel, "_ascending_rows", counting_rows)
-        monkeypatch.setattr(BinomialKernel, "_pascal_step", counting_step)
-        monkeypatch.setattr(sampling, "_level_drawer", recording_drawer)
-        batches = record_batches(monkeypatch)
-        list(sample_preorder(TABLE, n, 6, 4))
-        assert batches == [3, 3]
-        big = [m for m in tops if m > limit]
-        # the flat table's walk, then one walk per step that goes past it
-        assert (walks[0], steps[0]) == (1 + len(big), limit - 2 + sum(m - 2 for m in big))
-        assert len(big) > 3
+        table = listing(kernel, min(listed, 300))
+        before = kernel_state(kernel), kernel_state(table)
+        for k in (kernel, table):
+            mc_expected_height(k, 300, 100, seed=3)
+        assert (kernel_state(kernel), kernel_state(table)) == before
 
     @pytest.mark.parametrize(
         "kernel, grid",
@@ -759,30 +723,27 @@ class TestVectorizedDraws:
         ],
         ids=["bst", "binomial", "uniform", "table"],
     )
-    @pytest.mark.parametrize("limit", [_TABLE_LIMIT, 40])
-    def test_grid_matches_one_size_at_a_time(self, kernel, grid, limit, monkeypatch):
-        # with the small limit the grid straddles the flat table's last row
-        monkeypatch.setattr(sampling, "_TABLE_LIMIT", limit)
-        got = mc_expected_height_grid(kernel, grid[::-1] + grid[:1], 300, seed=8)
-        assert list(got) == list(grid)
-        for n in grid:
-            assert got[n] == mc_expected_height(kernel, n, 300, seed=replicate_seed(8, n))
+    @pytest.mark.parametrize("listed", [4096, 40])
+    def test_grid_matches_one_size_at_a_time(self, kernel, grid, listed):
+        # the kernel, and a table of its law listing its rows up to 40, which
+        # the grid straddles, or up to every size of the grid
+        for k in (kernel, listing(kernel, min(listed, max(grid)))):
+            got = mc_expected_height_grid(k, grid[::-1] + grid[:1], 300, seed=8)
+            assert list(got) == list(grid)
+            for n in grid:
+                assert got[n] == mc_expected_height(k, n, 300, seed=replicate_seed(8, n))
 
-    def test_grid_builds_one_table(self, monkeypatch):
-        built = []
-
-        class CountingTable(_CdfTable):
-            def __init__(self, kernel, limit):
-                built.append(limit)
-                super().__init__(kernel, limit)
-
-        monkeypatch.setattr(sampling, "_CdfTable", CountingTable)
-        mc_expected_height_grid(on_path(UniformKernel(), "cdf"), range(2, 240, 7), 50, seed=1)
-        assert built == [233]
-        # bst draws integers and uniform draws by rejection: neither builds one
+    def test_grid_builds_one_table(self, draw_builds):
+        # one draw function serves the whole grid: a table builds its listed
+        # cumulative rows once, and uniform, alone or as a table's fallback,
+        # its prefix sums once
+        table = TableKernel({5: [0.1, 0.8, 0.1, 0.0]}, UniformKernel())
+        mc_expected_height_grid(table, range(2, 240, 7), 50, seed=1)
+        assert draw_builds == [("table", 233), ("product", 233)]
+        # bst draws integers and builds nothing
         for kernel in (BstKernel(), UniformKernel()):
             mc_expected_height_grid(kernel, range(2, 240, 7), 50, seed=1)
-        assert built == [233]
+        assert draw_builds == [("table", 233), ("product", 233), ("product", 233)]
 
     def test_grid_checks_like_one_size(self):
         with pytest.raises(ValueError, match="replicates >= 2"):
@@ -792,9 +753,72 @@ class TestVectorizedDraws:
         assert mc_expected_height_grid(UniformKernel(), [], 10) == {}
 
     def test_empty_level(self):
-        table = _CdfTable(UniformKernel(), 10)
         empty = np.array([], dtype=np.int64)
-        assert table.draw(empty, np.array([])).size == 0
+        for kernel in (BstKernel(), UniformKernel(), TIED_TABLE, listing(UniformKernel(), 10)):
+            rng = np.random.default_rng(2)
+            assert _level_drawer(kernel, 10)(empty, rng).size == 0
+            assert rng.random() == np.random.default_rng(2).random()
+
+
+class _RowsOnly(SplitKernel):
+    """Split rows and nothing else, like test_kernels' _BrokenKernel: no rule to draw from."""
+
+    kind = "table"
+
+    def _row(self, n):
+        return np.full(n - 1, 1.0 / (n - 1))
+
+
+class TestTableDraws:
+    """A table draws its listed sizes from their rows and the rest by its fallback's rule."""
+
+    @pytest.mark.parametrize(
+        "fallback", [BstKernel(), BinomialKernel(0.3), UniformKernel()], ids=lambda k: k.describe()
+    )
+    @pytest.mark.parametrize("n", [1, 2, 3, 40, 300])
+    def test_a_table_listing_no_size_up_to_n_draws_as_its_fallback(self, fallback, n):
+        table = TableKernel({m: np.full(m - 1, 1 / (m - 1)) for m in (n + 1, n + 7)}, fallback)
+        assert list(sample_preorder(table, n, 30, 4)) == list(sample_preorder(fallback, n, 30, 4))
+        for reps in (2, MC_BLOCK + 3):
+            assert np.array_equal(mc_heights(table, n, reps, 4), mc_heights(fallback, n, reps, 4))
+
+    @pytest.mark.parametrize(
+        "fallback", [BstKernel(), BinomialKernel(0.3), UniformKernel()], ids=lambda k: k.describe()
+    )
+    def test_a_step_takes_the_fallback_draw_then_one_uniform_per_listed_block(self, fallback):
+        # the unlisted blocks, in their order, take the fallback's own draw;
+        # then rng.random(s) gives the s listed blocks, in their order, their uniforms
+        table = TableKernel(TIED_TABLE.rows, fallback)
+        sizes = np.random.default_rng(3).integers(2, 12, size=400)
+        listed = np.isin(sizes, list(table.rows))
+        ref = np.random.default_rng(8)
+        want = np.empty_like(sizes)
+        want[~listed] = _level_drawer(fallback, 12)(sizes[~listed], ref)
+        want[listed] = scalar_draws(table, sizes[listed], ref.random(listed.sum()))
+        rng = np.random.default_rng(8)
+        assert np.array_equal(_level_drawer(table, 12)(sizes, rng), want)
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize(
+        "kernel", [TABLE, listing(UniformKernel(), 50)], ids=["binomial", "uniform"]
+    )
+    def test_draws_build_no_split_rows(self, kernel, monkeypatch):
+        # listed rows are read as the table holds them, and fallbacks draw by their own rule
+        def refuse(self, sizes):
+            raise AssertionError("a split row was built")
+
+        for cls in (SplitKernel, BinomialKernel, UniformKernel, TableKernel):
+            monkeypatch.setattr(cls, "_ascending_rows", refuse)
+        list(sample_preorder(kernel, 300, 5, 1))
+        mc_heights(kernel, 300, 50, 1)
+
+    def test_a_kernel_without_a_draw_rule_is_refused(self):
+        with pytest.raises(TypeError, match="no draw rule"):
+            _level_drawer(_RowsOnly(), 10)
+        with pytest.raises(TypeError, match="no draw rule"):
+            sample_preorder(_RowsOnly(), 10, 3, 0)
+        with pytest.raises(TypeError, match="no draw rule"):
+            mc_heights(_RowsOnly(), 10, 3)
 
 
 class TestProductDraw:
@@ -898,7 +922,7 @@ class TestHeightLaw:
     )
     @pytest.mark.parametrize("path", ["auto", "cdf"])
     def test_histogram_matches_height_cdf(self, kernel, path):
-        assert_height_law(on_path(kernel, path), kernel, 12)
+        assert_height_law(on_path(kernel, path, 12), kernel, 12)
 
     @pytest.mark.parametrize(
         "kernel", [BstKernel(), UniformKernel(), BinomialKernel(0.3)], ids=lambda k: k.describe()
@@ -906,7 +930,11 @@ class TestHeightLaw:
     @pytest.mark.parametrize("path", ["auto", "cdf"])
     def test_histogram_matches_height_cdf_where_blocks_are_dropped(self, kernel, path):
         # at n = 64 most blocks are dropped undrawn (see TestPrunedGrowth)
-        assert_height_law(on_path(kernel, path), kernel, 64)
+        assert_height_law(on_path(kernel, path, 64), kernel, 64)
+
+    def test_histogram_matches_height_cdf_for_a_table_over_uniform(self):
+        # rejected fallback blocks wait a step beside the listed sizes' draws
+        assert_height_law(UNIFORM_TABLE, UNIFORM_TABLE, 64)
 
     @pytest.mark.parametrize(
         "kernel",
@@ -921,6 +949,14 @@ class TestHeightLaw:
     @pytest.mark.parametrize("n", [12, 64])
     def test_tree_heights_match_height_cdf(self, kernel, n):
         assert_height_law(kernel, kernel, n, heights_of=tree_heights)
+
+    def test_tree_heights_match_height_cdf_for_a_table_over_uniform(self):
+        assert_height_law(UNIFORM_TABLE, UNIFORM_TABLE, 64, heights_of=tree_heights)
+
+
+UNIFORM_TABLE = TableKernel(
+    {12: [0.3] + [0.0] * 9 + [0.7], 5: [0.1, 0.8, 0.1, 0.0], 40: [1 / 39] * 39}, UniformKernel()
+)
 
 
 def tree_heights(kernel, n, replicates, seed):
