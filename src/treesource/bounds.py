@@ -585,40 +585,145 @@ def _geometric_grid(lo: int, hi: int, points: int = 24) -> tuple[int, ...]:
     return tuple(int(x) for x in g)
 
 
+_TAIL_MARGIN = 1e-9
+"""Relative margin by which a closed-form bound must clear a fit's condition.
+
+A fit walks split rows only up to the last size in 3..scan_max that its
+bound leaves open (_walk_end): a balance size is closed once
+_balance_floor >= phi(n) * (1 + margin), an envelope size once
+_envelope_ceiling * n^alpha * (1 + margin) <= 2 * 2^alpha, which row 2 = [1]
+contributes to c for every kernel.  The fits compare float rows, so the
+margin must cover how far a float row's balance or envelope can lie from
+the exact one, plus the rounding of the bound itself.
+
+A Pascal step adds at most 3 * 2^-53 to the relative error of an entry (see
+kernels), so a binomial row at n <= 2048 is within 2046 * 3 * 2^-53 < 7e-13
+relative entrywise, and the entries flushed below 2^-1064 move a sum by
+less than 2^-1052.  A uniform entry c_k c_(n-k) / (4 c_n) carries the
+2(m - 1) roundings of each c_m's running product and two of its own,
+under 4n * 2^-53 < 5e-13 relative at n <= 1024.  A window sum of at most n
+nonnegative entries adds n * 2^-53 < 2.3e-13 relative, an envelope sum one
+rounding.  Each bound takes a few correctly rounded steps (sqrt, division,
+exp, n^alpha) and at most N * 2^-53 < 2.3e-13 relative for p^N or q^N, as
+q = 1 - p rounds.  The mode is the floor of a rounded (N + 1) p.  Where
+that rounding crosses an integer I <= N, (N + 1) p lies within an ulp of I,
+so q >= 1/(N + 1) up to an ulp, and the bound is taken at a neighbour of
+the true mode whose pmf is the mode's within a factor 1 + (N + 1) * 2^-52.
+At an inner k Robbins' bound has a slack of at least 1/(6N + 1) besides.
+Each effect is below 1e-12, far below the margin, so a closed size never
+shows a balance below phi(n) in the float comparison, and never raises c.
+"""
+
+
+def _walk_end(proven: np.ndarray) -> int:
+    """The last size that proven, over sizes 3, 4, ..., leaves open; 2 if it closes them all."""
+    open_sizes = np.flatnonzero(~proven)
+    return int(open_sizes[-1]) + 3 if open_sizes.size else 2
+
+
+def _balance_floor(kernel: SplitKernel, gamma: float, n: np.ndarray) -> np.ndarray:
+    """A proven lower bound on phi_balance at each size n >= 3; 0 where none is known.
+
+    binomial(p): the middle mass is P(lo - 1 <= X <= N + 1 - lo) for
+    X ~ Bin(N, p), N = n - 2 and lo = ceil(gamma*n).  By Hoeffding (1963),
+    P(X <= Np - t) and P(X >= Np + t) are each at most exp(-2t^2/N) for
+    t > 0, so the mass is at least 1 - exp(-2 t1^2/N) - exp(-2 t2^2/N) with
+    t1 = Np - (lo - 2) and t2 = (N + 2 - lo) - Np; a tail whose t is not
+    positive counts as 1.
+
+    uniform: sigma(k, n-k) = T_k T_(n-k) / T_n with T_m = C(2m-2, m-1) / m.
+    From 4^j / sqrt(pi (j + 1/2)) <= C(2j, j) <= 4^j / sqrt(pi (j + 1/4)),
+    k (n-k) <= n^2/4 and (k - 1/2)(n - k - 1/2) <= (n-1)^2/4, each of the
+    n - 2 lo + 1 middle splits is at least 2 sqrt(n - 3/4) / (sqrt(pi) n (n-1)).
+    """
+    lo = np.ceil(gamma * n)
+    if isinstance(kernel, BinomialKernel):
+        N = n - 2.0
+        t = np.array([N * kernel.p - (lo - 2.0), (N + 2.0 - lo) - N * kernel.p])
+        tails = np.where(t > 0.0, np.exp(-2.0 * t * t / N), 1.0)
+        return 1.0 - tails[0] - tails[1]
+    if isinstance(kernel, UniformKernel):
+        return (n - 2.0 * lo + 1.0) * 2.0 * np.sqrt(n - 0.75) / (math.sqrt(math.pi) * n * (n - 1.0))
+    return np.zeros(n.shape)
+
+
+def _envelope_ceiling(kernel: SplitKernel, n: np.ndarray) -> np.ndarray:
+    """A proven upper bound on psi_envelope at each size n >= 3; inf where none is known.
+
+    The envelope is at most twice the largest split, the pmf of Bin(N, p),
+    N = n - 2, at its mode k = floor((N + 1) p).  By Robbins (1955),
+    sqrt(2 pi m) (m/e)^m < m! < sqrt(2 pi m) (m/e)^m e^(1/(12m)), so for
+    0 < k < N, C(N, k) < sqrt(N / (2 pi k (N-k))) (N/k)^k (N/(N-k))^(N-k)
+    e^(1/(12N)), and p^k q^(N-k) (N/k)^k (N/(N-k))^(N-k) <= 1 as relative
+    entropy is nonnegative.  A mode at 0 or N has pmf q^N or p^N.
+    """
+    if not isinstance(kernel, BinomialKernel):
+        return np.full(n.shape, math.inf)
+    N = n - 2.0
+    k = np.minimum(np.floor((N + 1.0) * kernel.p), N)
+    with np.errstate(divide="ignore"):
+        inner = np.sqrt(N / (2.0 * math.pi * k * (N - k))) * np.exp(1.0 / (12.0 * N))
+    edge = np.where(k == 0.0, kernel._q**N, kernel.p**N)
+    return 2.0 * np.where((k > 0.0) & (k < N), inner, edge)
+
+
 def _fit_balance_n_min(
     kernel: SplitKernel, phi: PhiFunction, gamma: float, scan_max: int
-) -> int:
-    """Smallest N with phi_balance >= phi(n) for every n in [N, scan_max].
+) -> tuple[int, int]:
+    """Smallest N with phi_balance >= phi(n) for every n in [N, scan_max], and the walk's end.
 
-    Raises ValueError when balance fails at scan_max itself, since then no
-    start size lies in the scanned range.
+    Rows are walked only up to the last size that _balance_floor does not
+    close (see _TAIL_MARGIN).  Raises ValueError when balance fails at
+    scan_max itself, since then no start size lies in the scanned range.
     """
+    n = np.arange(3.0, scan_max + 1)
+    phis = np.fromiter(map(phi, range(3, scan_max + 1)), float, n.size)
+    end = _walk_end(_balance_floor(kernel, gamma, n) >= phis * (1.0 + _TAIL_MARGIN))
+    sizes = range(2, end + 1)
     last_violation = 1
-    sizes = range(2, scan_max + 1)
-    for n, row in zip(sizes, kernel._ascending_rows(sizes)):
-        if _balance(row, gamma) < phi(n):
-            last_violation = n
+    for m, row in zip(sizes, kernel._ascending_rows(sizes)):
+        if _balance(row, gamma) < phi(m):
+            last_violation = m
     if last_violation == scan_max:
         raise ValueError(
             f"{kernel.describe()}: balance at cut {gamma:g} is below phi(n)={phi.describe()} "
             f"at n={scan_max}, so the scanned range 2..{scan_max} holds no start size"
         )
-    return last_violation + 1
+    return last_violation + 1, end
 
 
-def _fit_envelope_coeff(kernel: SplitKernel, alpha: float, scan_max: int) -> float:
-    """Smallest c with psi_envelope <= c*n^(-alpha) on [2, scan_max]."""
-    sizes = range(2, scan_max + 1)
-    return max(_envelope(row) * n**alpha for n, row in zip(sizes, kernel._ascending_rows(sizes)))
+def _fit_envelope_coeff(kernel: SplitKernel, alpha: float, scan_max: int) -> tuple[float, int]:
+    """Smallest c with psi_envelope <= c*n^(-alpha) on [2, scan_max], and the walk's end.
+
+    Rows are walked only up to the last size that _envelope_ceiling does not
+    close (see _TAIL_MARGIN).
+    """
+    n = np.arange(3.0, scan_max + 1)
+    ceiling = _envelope_ceiling(kernel, n) * n**alpha * (1.0 + _TAIL_MARGIN)
+    end = _walk_end(ceiling <= 2.0 * 2.0**alpha)
+    sizes = range(2, end + 1)
+    c = max(_envelope(row) * m**alpha for m, row in zip(sizes, kernel._ascending_rows(sizes)))
+    return c, end
+
+
+def _fit_note(fitted: str, end: int, scan_max: int, proof: str) -> str:
+    note = f"{fitted} fitted on 2..{end}"
+    return note if end == scan_max else f"{note}; {proof} on {end + 1}..{scan_max}"
 
 
 def make_preset(name: str, p: float = 0.5) -> Preset:
     """Build a named preset; p applies to the binomial presets only.
 
     The two bst presets are backed by exact envelope and balance values.
-    The others fit n_min (or the envelope coefficient) by scanning the
-    stated range, so their guarantees are range-verified, not proven.  A
-    balance fit whose range holds no start size raises ValueError.
+    The others fit n_min (or the envelope coefficient) on a scan range,
+    2..1024 for uni-wbal and 2..2048 for the binomial presets, so their
+    guarantees are range-verified: nothing is checked beyond it.  Inside
+    it, split rows are walked only as far as no closed-form bound closes
+    the class condition (_balance_floor, _envelope_ceiling); the note names
+    the walked range and the proof beyond it.  At the default p, bin-wbal
+    walks 2..589 (Hoeffding from 590), bin-upper 2..2 (Robbins from 3) and
+    uni-wbal 2..5 (central binomial bounds from 6).  A balance fit whose
+    range holds no start size raises ValueError.
     """
     if name == "bst-upper":
         return Preset(
@@ -643,38 +748,40 @@ def make_preset(name: str, p: float = 0.5) -> Preset:
         coeff = (1.0 - 2.0 * gamma) / (1.05 * math.sqrt(math.pi * gamma))
         kernel = UniformKernel()
         phi = PhiFunction.inv_sqrt(coeff)
-        n_min = _fit_balance_n_min(kernel, phi, gamma, _UNI_SCAN_MAX)
+        n_min, end = _fit_balance_n_min(kernel, phi, gamma, _UNI_SCAN_MAX)
+        proof = "central binomial bounds prove balance >= phi(n)"
         return Preset(
             name=name,
             kernel=kernel,
             params=WeaklyBalancedParams(phi=phi, gamma=gamma, n_min=n_min),
             default_grid=_geometric_grid(max(2, n_min), _UNI_SCAN_MAX),
             empirical=True,
-            note=f"n_min fitted by scanning balance up to {_UNI_SCAN_MAX}",
+            note=_fit_note("n_min", end, _UNI_SCAN_MAX, proof),
         )
     if name == "bin-wbal":
         kernel = BinomialKernel(p)
         gamma = 0.9 * min(p, 1.0 - p)
         phi = PhiFunction.constant(0.9)
-        n_min = _fit_balance_n_min(kernel, phi, gamma, _BIN_SCAN_MAX)
+        n_min, end = _fit_balance_n_min(kernel, phi, gamma, _BIN_SCAN_MAX)
         return Preset(
             name=name,
             kernel=kernel,
             params=WeaklyBalancedParams(phi=phi, gamma=gamma, n_min=n_min),
             default_grid=_geometric_grid(max(2, n_min), _BIN_SCAN_MAX),
             empirical=True,
-            note=f"n_min fitted by scanning balance up to {_BIN_SCAN_MAX}",
+            note=_fit_note("n_min", end, _BIN_SCAN_MAX, "Hoeffding proves balance >= 0.9"),
         )
     if name == "bin-upper":
         kernel = BinomialKernel(p)
         alpha = 0.5
-        c = _fit_envelope_coeff(kernel, alpha, _BIN_SCAN_MAX)
+        c, end = _fit_envelope_coeff(kernel, alpha, _BIN_SCAN_MAX)
+        proof = "Robbins' Stirling bounds prove envelope <= c/sqrt(n)"
         return Preset(
             name=name,
             kernel=kernel,
             params=UpperBoundedParams(c=c, alpha=alpha, n_min=2),
             default_grid=_geometric_grid(2, _BIN_SCAN_MAX),
             empirical=True,
-            note=f"envelope coefficient fitted by scanning up to {_BIN_SCAN_MAX}",
+            note=_fit_note("envelope coefficient", end, _BIN_SCAN_MAX, proof),
         )
     raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")

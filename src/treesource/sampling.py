@@ -69,7 +69,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .kernels import BinomialKernel, BstKernel, SplitKernel, TableKernel
-from .trees import LEAF, BinaryTree, node, tree_from_shape_bits
+from .trees import BinaryTree, tree_from_shape_bits
 
 __all__ = [
     "MC_BLOCK",
@@ -80,6 +80,7 @@ __all__ = [
     "sample_tree",
     "sample_height",
     "sample_uniform_remy",
+    "sample_uniform_remy_shape",
     "mc_heights",
     "mc_expected_height",
     "mc_expected_height_grid",
@@ -202,14 +203,15 @@ def sample_height(kernel: SplitKernel, n: int, seed: "int | np.random.Generator"
     return next(sample_preorder(kernel, n, 1, seed))[1]
 
 
-def sample_uniform_remy(n: int, seed: "int | np.random.Generator") -> BinaryTree:
-    """Uniform tree on n leaves by random growth, independent of any kernel.
+def sample_uniform_remy_shape(n: int, seed: "int | np.random.Generator") -> str:
+    """Pre-order shape bits of a uniform tree on n leaves, grown independently of any kernel.
 
     Grows one leaf at a time: an edge (or the root) is chosen uniformly
     among all 2m - 1 nodes and a new inner node is spliced in there, with
     the new leaf put on a uniformly random side.  Each of the m steps is
     uniform, which makes the final shape uniform; this serves as an oracle
-    for the Catalan-weighted kernel's sampler.
+    for the Catalan-weighted kernel's sampler.  The bits are read off the
+    grown child arrays by one pre-order walk, so no tree is built.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -238,24 +240,22 @@ def sample_uniform_remy(n: int, seed: "int | np.random.Generator") -> BinaryTree
             left[par] = inner
         else:
             right[par] = inner
-    if n == 1:
-        return LEAF
-    # fold bottom-up from reversed pre-order
-    order = []
+    bits = []
     stack = [root]
     while stack:
         v = stack.pop()
-        order.append(v)
-        if left[v] >= 0:
+        if left[v] < 0:
+            bits.append("0")
+        else:
+            bits.append("1")
             stack.append(right[v])
             stack.append(left[v])
-    built: list[BinaryTree] = []
-    for v in reversed(order):
-        if left[v] < 0:
-            built.append(LEAF)
-        else:
-            built.append(node(built.pop(), built.pop()))
-    return built[0]
+    return "".join(bits)
+
+
+def sample_uniform_remy(n: int, seed: "int | np.random.Generator") -> BinaryTree:
+    """The tree of sample_uniform_remy_shape(n, seed)."""
+    return tree_from_shape_bits(sample_uniform_remy_shape(n, seed))
 
 
 class _ProductDraw:

@@ -33,7 +33,7 @@ from treesource.kernels import (
     UniformKernel,
     tree_probability,
 )
-from treesource.sampling import mc_expected_height, sample_preorder, sample_uniform_remy
+from treesource.sampling import mc_expected_height, sample_preorder, sample_uniform_remy_shape
 from treesource.trees import enumerate_trees, shape_bits
 
 BUILTIN_KERNELS = [
@@ -201,7 +201,7 @@ def test_criterion_09_sampler_distributions(criterion):
             histograms[kernel.kind] = counts
         # leaf-growth sampler vs the Catalan kernel sampler, two-sample test
         remy = shape_histogram(
-            lambda rng, count: (shape_bits(sample_uniform_remy(6, rng)) for _ in range(count)),
+            lambda rng, count: (sample_uniform_remy_shape(6, rng) for _ in range(count)),
             replicates,
             seed=77,
         )

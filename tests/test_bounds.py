@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treesource import heights
+from treesource import bounds, heights
 from treesource.bounds import (
     PASS_TOL,
     PRESET_NAMES,
@@ -616,3 +616,128 @@ class TestPresets:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="preset"):
             make_preset("fast-upper")
+
+
+def binomial_tails(N, p, lo_k, hi_k):
+    """Exact P(X <= lo_k) and P(X >= hi_k) for X ~ Bin(N, p), p the stored double."""
+    a, b = Fraction(p).as_integer_ratio()
+    up, down = [1], [1]
+    for _ in range(N):
+        up.append(up[-1] * a)
+        down.append(down[-1] * (b - a))
+    low = sum(math.comb(N, k) * up[k] * down[N - k] for k in range(lo_k + 1))
+    high = sum(math.comb(N, k) * up[k] * down[N - k] for k in range(hi_k, N + 1))
+    return Fraction(low, b**N), Fraction(high, b**N)
+
+
+class TestTailBounds:
+    def test_central_binomial_bounds(self):
+        # 4^j / sqrt(pi (j + 1/2)) <= C(2j, j) <= 4^j / sqrt(pi (j + 1/4)), squared, in
+        # integers.  pi lies between pi_lo / scale and pi_hi / scale, within 3e-15
+        # relative: far inside the squared bounds' slack, least at the upper bound,
+        # about 1/(32 j^2) >= 1.8e-9
+        pi_lo, pi_hi, scale = 314159265358979, 314159265358980, 10**14
+        c = 1
+        for j in range(4097):
+            square = c * c
+            assert square * pi_lo * (4 * j + 2) >= 2 * scale << 4 * j, j
+            assert square * pi_hi * (4 * j + 1) <= 4 * scale << 4 * j, j
+            c = c * (2 * j + 1) * (2 * j + 2) // ((j + 1) * (j + 1))
+        assert c == math.comb(2 * 4097, 4097)
+
+    def test_uniform_balance_floor_under_exact_mass(self):
+        gamma, n = 0.25, np.arange(3.0, 301)
+        floor = bounds._balance_floor(UniformKernel(), gamma, n)
+        for m, f in zip(range(3, 301), floor.tolist()):
+            lo = math.ceil(gamma * m)
+            middle = sum(count_trees(k) * count_trees(m - k) for k in range(lo, m - lo + 1))
+            assert Fraction(f) <= Fraction(middle, count_trees(m)), m
+            # from n = 6 on the floor clears uni-wbal's profile 0.5373/sqrt(n)
+            assert m < 6 or f * math.sqrt(m) > 0.5 / (1.05 * math.sqrt(math.pi / 4)), m
+
+    @pytest.mark.parametrize("p", [0.05, 0.3, 0.5, 0.7])
+    def test_robbins_mode_bound(self, p):
+        kernel = BinomialKernel(p)
+        ceiling = bounds._envelope_ceiling(kernel, np.arange(3.0, 303)) * (1 + bounds._TAIL_MARGIN)
+        for N, bound in zip(range(1, 301), ceiling.tolist()):
+            mode = math.floor((N + 1) * Fraction(p))
+            top = kernel.sigma_exact(mode + 1, N - mode + 1)
+            assert Fraction(bound) >= 2 * top, N
+            assert bound <= 3 * float(top), N
+
+    @pytest.mark.parametrize("n, p", [(50, 0.5), (300, 0.3), (590, 0.5), (1242, 0.3), (400, 0.1)])
+    def test_hoeffding_tails(self, n, p):
+        kernel = BinomialKernel(p)
+        gamma = 0.9 * min(p, 1 - p)
+        N, lo = n - 2, math.ceil(gamma * n)
+        low, high = binomial_tails(N, p, lo - 2, N + 2 - lo)
+        for t, tail in ((N * p - (lo - 2), low), ((N + 2 - lo) - N * p, high)):
+            assert t > 0 and Fraction(math.exp(-2 * t * t / N)) >= tail
+        floor = float(bounds._balance_floor(kernel, gamma, np.array([float(n)]))[0])
+        assert Fraction(floor) <= 1 - low - high
+        # where the walk stops, the floor clears phi = 0.9
+        assert (floor >= 0.9 * (1 + bounds._TAIL_MARGIN)) == ((n, p) in {(590, 0.5), (1242, 0.3)})
+
+
+def full_walk_fits(kernel, gamma, phi, alpha, scan_max):
+    """n_min (or the error text) and c from every row 2..scan_max."""
+    last_violation, c = 1, 0.0
+    sizes = range(2, scan_max + 1)
+    for n, row in zip(sizes, kernel._ascending_rows(sizes)):
+        if bounds._balance(row, gamma) < phi(n):
+            last_violation = n
+        c = max(c, bounds._envelope(row) * n**alpha)
+    if last_violation == scan_max:
+        n_min = (
+            f"{kernel.describe()}: balance at cut {gamma:g} is below phi(n)={phi.describe()} "
+            f"at n={scan_max}, so the scanned range 2..{scan_max} holds no start size"
+        )
+    else:
+        n_min = last_violation + 1
+    return n_min, c
+
+
+class TestFitWalks:
+    @pytest.mark.parametrize("p", [0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 0.95])
+    def test_binomial_fits_match_a_full_walk(self, p):
+        n_min, c = full_walk_fits(
+            BinomialKernel(p), 0.9 * min(p, 1.0 - p), PhiFunction.constant(0.9), 0.5, 2048
+        )
+        if isinstance(n_min, str):
+            with pytest.raises(ValueError) as err:
+                make_preset("bin-wbal", p=p)
+            assert str(err.value) == n_min
+        else:
+            assert make_preset("bin-wbal", p=p).params.n_min == n_min
+        assert make_preset("bin-upper", p=p).params.c == c
+
+    def test_uniform_fit_matches_a_full_walk(self):
+        preset = make_preset("uni-wbal")
+        n_min, _ = full_walk_fits(UniformKernel(), 0.25, preset.params.phi, 0.5, 1024)
+        assert preset.params.n_min == n_min
+
+    def test_walked_rows_at_the_default_p(self, monkeypatch):
+        walked = []
+        for cls in (BinomialKernel, UniformKernel):
+            rows = cls._ascending_rows
+
+            def counted(self, sizes, rows=rows):
+                for n, row in zip(sizes, rows(self, sizes)):
+                    walked.append(n)
+                    yield row
+
+            monkeypatch.setattr(cls, "_ascending_rows", counted)
+        for name, last, note in [
+            ("bin-wbal", 589, "n_min fitted on 2..589; Hoeffding proves balance >= 0.9 on 590..2048"),
+            ("bin-upper", 2, "envelope coefficient fitted on 2..2; Robbins'"),
+            ("uni-wbal", 5, "n_min fitted on 2..5; central binomial bounds"),
+        ]:
+            walked.clear()
+            preset = make_preset(name)
+            assert walked == list(range(2, last + 1)), name
+            assert preset.note.startswith(note)
+
+    def test_no_bound_closes_for_other_kernels(self):
+        n = np.arange(3.0, 50)
+        assert not np.any(bounds._balance_floor(BstKernel(), 0.25, n) > 0)
+        assert np.all(bounds._envelope_ceiling(UniformKernel(), n) == math.inf)

@@ -34,6 +34,7 @@ from treesource.sampling import (
     sample_shape,
     sample_tree,
     sample_uniform_remy,
+    sample_uniform_remy_shape,
 )
 from treesource.trees import (
     LEAF,
@@ -386,6 +387,22 @@ class TestRemyGrowth:
     def test_determinism(self):
         assert sample_uniform_remy(20, 9) == sample_uniform_remy(20, 9)
 
+    @pytest.mark.parametrize(
+        "n, seed, bits",
+        [
+            (1, 0, "0"),
+            (2, 0, "100"),
+            (6, 0, "10101101000"),
+            (6, 1, "11001011000"),
+            (9, 5, "11011000110010100"),
+            (20, 9, "111100011101000101111110100100001000100"),
+        ],
+    )
+    def test_shape_bits_keep_the_grown_trees(self, n, seed, bits):
+        # the shapes drawn from these seeds when the sampler built a BinaryTree per tree
+        assert sample_uniform_remy_shape(n, seed) == bits
+        assert shape_bits(sample_uniform_remy(n, seed)) == bits
+
     def test_three_leaf_split(self):
         rng = np.random.default_rng(11)
         counts = Counter(shape_bits(sample_uniform_remy(3, rng)) for _ in range(4000))
@@ -405,13 +422,15 @@ class TestRemyGrowth:
         # step m takes j uniform on 0..4m - 3, node j // 2 and side j % 2
         for n in (1, 2, 9):
             rng, ref = np.random.default_rng(n), np.random.default_rng(n)
-            sample_uniform_remy(n, rng)
+            sample_uniform_remy_shape(n, rng)
             ref.integers(0, 4 * np.arange(1, n) - 2)
             assert rng.random() == ref.random()
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             sample_uniform_remy(0, 0)
+        with pytest.raises(ValueError):
+            sample_uniform_remy_shape(0, 0)
 
 
 class TestMonteCarlo:
